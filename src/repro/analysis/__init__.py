@@ -2,7 +2,8 @@
 
 This package is the pre-execution counterpart of the runtime detector:
 ``repro lint`` runs it over Python rank-program files (AST lint +
-static sequence extraction + deterministic sequential matching) and
+static sequence extraction + the O(n) linear matching of
+:mod:`repro.analysis.symbolic.linmatch`) and
 over recorded ``.json`` traces, producing
 :class:`~repro.checks.findings.CheckFinding` records without ever
 starting the engine. ``repro verify`` goes further for wildcard
@@ -34,7 +35,6 @@ from repro.analysis.explore import (
     explore_sequences,
 )
 from repro.analysis.extract import Extraction, extract_programs
-from repro.analysis.seqmatch import StaticMatchResult, match_sequences
 from repro.analysis.symbolic import (
     Fragment,
     LinearMatchResult,
@@ -70,7 +70,6 @@ __all__ = [
     "ProgramVerification",
     "ReplayOutcome",
     "SequenceClassification",
-    "StaticMatchResult",
     "Verdict",
     "VerifyReport",
     "WitnessSchedule",
@@ -86,7 +85,6 @@ __all__ = [
     "find_rank_programs",
     "lint_path",
     "lint_source",
-    "match_sequences",
     "replay_witness",
     "verify_path",
 ]

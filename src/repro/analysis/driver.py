@@ -10,10 +10,11 @@ For a Python file the pipeline is
    (:mod:`repro.analysis.extract`);
 4. run the request typestate FSM and the collective consistency
    checker (:mod:`repro.analysis.typestate`);
-5. when the extraction is exact and wildcard-free, replay the
-   sequences under the deterministic sequential model
-   (:mod:`repro.analysis.seqmatch`) and report any deadlock with its
-   witness cycle.
+5. when the extraction is exact and wildcard-free, decide the
+   unique matching with the O(n) linear matcher that ``repro verify``
+   and ``repro prove`` use too
+   (:mod:`repro.analysis.symbolic.linmatch`) and report any deadlock
+   with its witness cycle.
 
 For a recorded ``.json`` trace, steps 4–5 run on the recorded
 sequences, with wildcard receives pinned to their observed matches.
@@ -24,7 +25,7 @@ import ast
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from repro.analysis.astlint import lint_source
@@ -34,13 +35,16 @@ from repro.analysis.explore import (
     Verdict,
     explore_extraction,
 )
-from repro.analysis.extract import Extraction, extract_programs
-from repro.analysis.seqmatch import StaticMatchResult, match_sequences
+from repro.analysis.extract import extract_programs
 from repro.analysis.symbolic.fragments import (
     ProgramClassification,
     classify_extraction,
     classify_source,
     decide_extraction,
+)
+from repro.analysis.symbolic.linmatch import (
+    LinearMatchUnsupported,
+    match_linear,
 )
 from repro.analysis.typestate import (
     check_collective_consistency,
@@ -55,6 +59,9 @@ from repro.checks.findings import (
     CheckFinding,
     Severity,
 )
+from repro.mpi.communicator import CommRegistry
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.ops import Operation
 from repro.mpi.serialize import load_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import ReproError
@@ -319,30 +326,32 @@ def _analyze_program_set(
     # Wildcard-exact sequences reach the matcher so its refusal
     # becomes a structured `wildcard-unsupported` finding pointing at
     # `repro verify` (instead of an opaque note).
-    result = match_sequences(extraction.sequences, extraction.comms)
-    _report_match(label, result, extraction, report)
+    _report_match(label, extraction.sequences, extraction.comms, report)
 
 
 def _report_match(
     label: str,
-    result: StaticMatchResult,
-    extraction: Optional[Extraction],
+    sequences: Sequence[Sequence[Operation]],
+    comms: CommRegistry,
     report: LintReport,
 ) -> None:
-    if not result.applicable:
-        if result.skipped_check == CHECK_WILDCARD_UNSUPPORTED:
+    try:
+        result = match_linear(sequences, comms, label=label)
+    except LinearMatchUnsupported as exc:
+        if exc.wildcard is not None:
             report.findings.append(
                 CheckFinding(
                     check=CHECK_WILDCARD_UNSUPPORTED,
                     severity=Severity.INFO,
                     rank=None,
-                    message=f"{label}: {result.reason_skipped}",
+                    message=(
+                        f"{label}: {exc} — use `repro verify` for "
+                        "wildcard-aware match-set exploration"
+                    ),
                 )
             )
         else:
-            report.notes.append(
-                f"{label}: {result.reason_skipped}"
-            )
+            report.notes.append(f"{label}: {exc}")
         return
     if not result.has_deadlock:
         return
@@ -351,7 +360,8 @@ def _report_match(
         chain = " -> ".join(str(r) for r in result.witness_cycle)
         cycle = f"; dependency cycle {chain} -> {result.witness_cycle[0]}"
     for rank in result.deadlocked:
-        op = result.blocked_ops.get(rank)
+        _, ts = result.blocked_ops[rank]
+        op = sequences[rank][ts]
         report.findings.append(
             CheckFinding(
                 check=CHECK_STATIC_DEADLOCK,
@@ -359,11 +369,10 @@ def _report_match(
                 rank=rank,
                 message=(
                     f"{label}: rank {rank} blocks forever at "
-                    f"{op.describe() if op else 'its final operation'}"
-                    f"{cycle}"
+                    f"{op.describe()}{cycle}"
                 ),
-                op=op.ref if op else None,
-                location=op.location if op else "",
+                op=op.ref,
+                location=op.location,
             )
         )
 
@@ -622,8 +631,33 @@ def _lint_trace(path: str) -> LintReport:
     report.findings.extend(
         check_collective_consistency(sequences, matched.comms)
     )
-    result = match_sequences(
-        sequences, matched.comms, resolve_observed=True
+    _report_match(
+        os.path.basename(path),
+        _resolve_with_observations(sequences),
+        matched.comms,
+        report,
     )
-    _report_match(os.path.basename(path), result, None, report)
     return report
+
+
+def _resolve_with_observations(
+    sequences: Sequence[Sequence[Operation]],
+) -> List[List[Operation]]:
+    """Pin recorded wildcard receives and probes to their observed
+    source/tag; the ones that never matched stay wildcards."""
+    resolved: List[List[Operation]] = []
+    for seq in sequences:
+        out: List[Operation] = []
+        for op in seq:
+            if (
+                (op.is_recv() or op.is_probe())
+                and op.peer == ANY_SOURCE
+                and op.observed_peer is not None
+            ):
+                tag = op.tag
+                if tag == ANY_TAG and op.observed_tag is not None:
+                    tag = op.observed_tag
+                op = replace(op, peer=op.observed_peer, tag=tag)
+            out.append(op)
+        resolved.append(out)
+    return resolved

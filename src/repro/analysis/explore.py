@@ -1,12 +1,12 @@
 """Bounded match-set exploration of wildcard nondeterminism.
 
-`repro.analysis.seqmatch` replays the *one* deterministic schedule a
-wildcard-free program has. With ``MPI_ANY_SOURCE`` in play there is a
-set of feasible matchings (the paper's Fig. 10 stress case is built
-on exactly this), and a deadlock may hide in only some of them. This
-module enumerates that set as an explicit state graph over the
-extracted per-rank sequences (:mod:`repro.analysis.extract`) and
-classifies the program:
+:mod:`repro.analysis.symbolic.linmatch` replays the *one*
+deterministic schedule a wildcard-free program has. With
+``MPI_ANY_SOURCE`` in play there is a set of feasible matchings (the
+paper's Fig. 10 stress case is built on exactly this), and a deadlock
+may hide in only some of them. This module enumerates that set as an
+explicit state graph over the extracted per-rank sequences
+(:mod:`repro.analysis.extract`) and classifies the program:
 
 * ``deadlock-free`` — no reachable terminal state has a blocked rank;
 * ``deadlock-possible`` — some schedule + wildcard choice deadlocks;
@@ -224,7 +224,6 @@ class _Model:
                 counts[key] = idx + 1
                 self.wave_of[op.ref] = (op.comm_id, idx)
                 self.wave_members.setdefault((op.comm_id, idx), {})[r] = op.ts
-        self._check_waves()
 
         #: First MPI_Finalize position per rank (None: rank never
         #: finalizes — the world finalize wave then never completes).
@@ -252,30 +251,33 @@ class _Model:
                 ):
                     self.has_senders.add((op.comm_id, op.peer))
 
-    def _check_waves(self) -> None:
-        """Reject what the engine rejects as collective usage errors."""
-        for (comm_id, idx), members in self.wave_members.items():
-            if comm_id not in self.comms:
-                raise ExplorationUnsupported(
-                    f"collective on unknown communicator {comm_id}"
-                )
-            group = self.comms.get(comm_id).group
-            kinds = set()
-            roots = set()
-            for r, ts in members.items():
-                if r not in group:
-                    raise ExplorationUnsupported(
-                        f"rank {r} calls a collective on communicator "
-                        f"{comm_id} it does not belong to"
-                    )
-                op = self.seqs[r][ts]
-                kinds.add(op.kind)
-                roots.add(op.root)
-            if len(kinds) > 1 or len(roots) > 1:
-                raise ExplorationUnsupported(
-                    f"mismatched collective wave {idx} on communicator "
-                    f"{comm_id} ({', '.join(sorted(k.value for k in kinds))})"
-                )
+    def check_arrival(
+        self, op: Operation, first: Optional[Operation]
+    ) -> None:
+        """Reject what the engine rejects when ``op`` joins its
+        collective wave; ``first`` is an earlier arrival at that wave
+        (``None`` when ``op`` is the first).
+
+        Checking at arrival (not up front) keeps a mismatched wave that
+        execution never reaches from refusing the whole program.
+        """
+        comm_id, idx = self.wave_of[op.ref]
+        if comm_id not in self.comms:
+            raise ExplorationUnsupported(
+                f"collective on unknown communicator {comm_id}"
+            )
+        if op.rank not in self.comms.get(comm_id).group:
+            raise ExplorationUnsupported(
+                f"rank {op.rank} calls a collective on communicator "
+                f"{comm_id} it does not belong to"
+            )
+        if first is not None and (
+            op.kind is not first.kind or op.root != first.root
+        ):
+            raise ExplorationUnsupported(
+                f"mismatched collective wave {idx} on communicator "
+                f"{comm_id} ({first.describe()} vs {op.describe()})"
+            )
 
     # -- state basics ---------------------------------------------------
 
@@ -589,9 +591,20 @@ class _Model:
                 else:
                     advance(r)  # TEST flavours never block
         elif is_collective_kind(kind):
-            posted[r] = True
             comm_id, idx = self.wave_of[op.ref]
             members = self.wave_members[(comm_id, idx)]
+            self.check_arrival(
+                op,
+                next(
+                    (
+                        seqs[m][ts]
+                        for m, ts in members.items()
+                        if pcs[m] == ts and posted[m]
+                    ),
+                    None,
+                ),
+            )
+            posted[r] = True
             group = self.comms.get(comm_id).group
             complete = all(
                 m in members

@@ -13,7 +13,7 @@ feed back into later calls structurally, so the extractor parks a rank
 at ``MPI_Comm_dup``/``_split``/``_create`` until every group member
 arrives and then distributes real registry results. Everything else
 continues immediately — blocking behaviour is the matcher's concern
-(:mod:`repro.analysis.seqmatch`), not the extractor's.
+(:mod:`repro.analysis.symbolic.linmatch`), not the extractor's.
 """
 from __future__ import annotations
 

@@ -18,6 +18,13 @@ matching directly, in ``O(ops + requests)``:
   are woken by request completion, never re-scanned;
 * collective waves count arrivals and release everyone on the last.
 
+Recorded traces (``repro lint`` on a ``.json`` file) additionally
+carry runtime-steered calls with their observed outcome: ``Iprobe``
+and ``Test*`` never block, and ``Waitany``/``Waitsome`` complete the
+requests at their recorded ``completed_indices`` (without a recorded
+outcome they are refused). Extraction marks all of these inexact, so
+statically extracted programs never reach them.
+
 The terminal state is classified exactly like the explorer's terminal
 states: blocked ranks become :class:`WaitForCondition` records (same
 reason strings), fed to the AND⊕OR wait-for graph and
@@ -62,22 +69,46 @@ _LOCAL_KINDS = frozenset(
     }
 )
 _NONBLOCKING_RECVS = frozenset({OpKind.IRECV, OpKind.PSTART_RECV})
+#: Calls that never block and leave the matching alone.
+_NEVER_BLOCKING = frozenset(
+    {
+        OpKind.IPROBE,
+        OpKind.TEST,
+        OpKind.TESTALL,
+        OpKind.TESTANY,
+        OpKind.TESTSOME,
+    }
+)
+_WAIT_KINDS = frozenset(
+    {OpKind.WAIT, OpKind.WAITALL, OpKind.WAITANY, OpKind.WAITSOME}
+)
 _SUPPORTED_KINDS = (
     frozenset(_BUFFERED_SEND_KINDS)
     | _RENDEZVOUS_BLOCKING_SENDS
     | _LOCAL_KINDS
     | _NONBLOCKING_RECVS
+    | _NEVER_BLOCKING
+    | _WAIT_KINDS
     | {
         OpKind.ISEND, OpKind.ISSEND, OpKind.PSTART_SEND,
         OpKind.RECV, OpKind.PROBE,
-        OpKind.WAIT, OpKind.WAITALL,
         OpKind.FINALIZE,
     }
 )
 
 
 class LinearMatchUnsupported(ReproError):
-    """The sequences fall outside the wildcard-free linear fragment."""
+    """The sequences fall outside the wildcard-free linear fragment.
+
+    ``wildcard`` is the first unresolved ``MPI_ANY_SOURCE`` receive or
+    probe when that is why the sequences were refused.
+    """
+
+    def __init__(
+        self, message: str, wildcard: Optional[Operation] = None
+    ) -> None:
+        super().__init__(message)
+        self.wildcard = wildcard
 
 
 @dataclass
@@ -141,6 +172,20 @@ class _Matcher:
             self.model = _Model(sequences, comms)
         except ExplorationUnsupported as exc:
             raise LinearMatchUnsupported(str(exc)) from None
+        if self.model.wildcard_dst:
+            wildcard = next(
+                op
+                for seq in self.model.seqs
+                for op in seq
+                if (is_recv_kind(op.kind) or op.is_probe())
+                and op.peer == ANY_SOURCE
+            )
+            raise LinearMatchUnsupported(
+                f"{wildcard.describe()} uses MPI_ANY_SOURCE with no "
+                "observed match; the sequential model only covers "
+                "deterministic matchings",
+                wildcard,
+            )
         self.label = label
         self.seqs = self.model.seqs
         self.p = self.model.p
@@ -158,6 +203,8 @@ class _Matcher:
         self.wait_needs: Dict[int, Set[int]] = {}
         #: Collective wave arrivals: (comm, wave idx) -> count.
         self.arrivals: Dict[Tuple[int, int], int] = {}
+        #: First arrival of each wave, which later arrivals must match.
+        self.wave_first: Dict[Tuple[int, int], Operation] = {}
         self.finalize_arrived = 0
         self.schedule: List[int] = []
         self.worklist: Deque[int] = deque(range(self.p))
@@ -195,7 +242,7 @@ class _Matcher:
             if not needs:
                 del self.wait_needs[rank]
                 wop = self.seqs[rank][self.pcs[rank]]
-                self.consumed[rank].update(wop.requests)
+                self.consumed[rank].update(self._awaited(wop))
                 self._advance(rank)
                 self._wake(rank)
 
@@ -344,35 +391,57 @@ class _Matcher:
             )
         return False
 
+    @staticmethod
+    def _awaited(op: Operation) -> Tuple[int, ...]:
+        """Requests a wait completes: all of them, or the recorded
+        outcome of a ``Waitany``/``Waitsome``."""
+        if op.kind in (OpKind.WAIT, OpKind.WAITALL):
+            return op.requests
+        if not op.completed_indices or not all(
+            0 <= i < len(op.requests) for i in op.completed_indices
+        ):
+            raise LinearMatchUnsupported(
+                f"{op.describe()} has no recorded outcome; which request "
+                "completes is steered by the runtime"
+            )
+        return tuple(op.requests[i] for i in op.completed_indices)
+
     def _exec_completion(self, op: Operation) -> None:
         rank = op.rank
-        for request in op.requests:
+        awaited = self._awaited(op)
+        for request in awaited:
             if request in self.consumed[rank]:
                 raise LinearMatchUnsupported(
                     f"rank {rank} reuses already-completed request "
                     f"{request}"
                 )
         needs = {
-            request for request in op.requests
+            request for request in awaited
             if not self._request_done(rank, request)
         }
         if not needs:
-            self.consumed[rank].update(op.requests)
+            self.consumed[rank].update(awaited)
             self._advance(rank)
             return
         self.wait_needs[rank] = needs
         self.parked[rank] = True
 
     def _exec_collective(self, op: Operation) -> None:
+        """Arrive at a wave; the last member releases everyone."""
         rank = op.rank
-        self.parked[rank] = True
         comm_id, idx = self.model.wave_of[op.ref]
         key = (comm_id, idx)
-        self.arrivals[key] = self.arrivals.get(key, 0) + 1
+        try:
+            self.model.check_arrival(op, self.wave_first.get(key))
+        except ExplorationUnsupported as exc:
+            raise LinearMatchUnsupported(str(exc)) from None
+        self.wave_first.setdefault(key, op)
         group = self.comms.get(comm_id).group
-        members = self.model.wave_members[key]
-        if self.arrivals[key] != len(group) or set(members) != set(group):
+        self.parked[rank] = True
+        self.arrivals[key] = self.arrivals.get(key, 0) + 1
+        if self.arrivals[key] != len(group):
             return
+        members = self.model.wave_members[key]
         for member in group:
             if self.pcs[member] == members[member] and self.parked[member]:
                 self._advance(member)
@@ -414,10 +483,6 @@ class _Matcher:
                 f"{kind.value} is outside the linear wildcard-free "
                 "fragment"
             )
-        if (is_recv_kind(kind) or op.is_probe()) and op.peer == ANY_SOURCE:
-            raise LinearMatchUnsupported(
-                "wildcard receive requires match-set exploration"
-            )
 
     def _exec(self, op: Operation) -> None:
         kind = op.kind
@@ -431,13 +496,13 @@ class _Matcher:
             self._match_recv(op)
         elif kind is OpKind.PROBE:
             self._match_probe(op)
-        elif kind in (OpKind.WAIT, OpKind.WAITALL):
+        elif kind in _WAIT_KINDS:
             self._exec_completion(op)
         elif kind is OpKind.FINALIZE:
             self._exec_finalize(op)
         elif is_collective_kind(kind):
             self._exec_collective(op)
-        elif kind in _LOCAL_KINDS:
+        elif kind in _LOCAL_KINDS or kind in _NEVER_BLOCKING:
             self._advance(op.rank)
         else:  # pragma: no cover - _check_supported gates this
             raise LinearMatchUnsupported(f"cannot match {kind.value}")
@@ -512,7 +577,8 @@ class _Matcher:
             )
         elif is_recv_kind(kind) or op.is_probe():
             cond.clauses.append(p2p_clause(op))
-        elif kind in (OpKind.WAIT, OpKind.WAITALL):
+        elif kind in _WAIT_KINDS:
+            unsatisfied: List[Tuple[WaitTarget, ...]] = []
             for request in op.requests:
                 if request in self.consumed[rank]:
                     continue
@@ -521,7 +587,15 @@ class _Matcher:
                 creator = self.model.creators[rank].get(request)
                 if creator is None:
                     continue
-                cond.clauses.append(p2p_clause(creator))
+                unsatisfied.append(p2p_clause(creator))
+            if kind in (OpKind.WAIT, OpKind.WAITALL):
+                cond.clauses.extend(unsatisfied)
+            else:
+                # Any one completion releases the rank: one OR clause.
+                flat = list(
+                    dict.fromkeys(t for clause in unsatisfied for t in clause)
+                )
+                cond.clauses.append(tuple(flat))
         elif is_collective_kind(kind):
             comm_id, idx = self.model.wave_of[op.ref]
             members = self.model.wave_members[(comm_id, idx)]

@@ -13,15 +13,30 @@ payload of the ``requestWaits`` reply in the distributed protocol
   not activated its participating operation (AND semantics);
 * ``Wait``/``Waitall`` yields the AND of its unsatisfied requests'
   conditions; ``Waitany``/``Waitsome`` the OR (one flattened clause).
+
+:func:`resolve_rank_waits` is the root's side of the protocol: it
+turns the first layer's ``RankWaitInfo`` replies into these CNF
+conditions (the TBON root and ``repro blame`` both use it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro.core.messages import CollectiveWait, P2PWait, RankWaitInfo
 from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.ops import Operation, OpRef
 from repro.core.transition import TransitionSystem
+from repro.util.errors import ProtocolError
 
 
 @dataclass(frozen=True)
@@ -196,3 +211,58 @@ def wait_for_conditions(
         i: wait_for_condition(ts, state, i)
         for i in sorted(ts.blocked_processes(state))
     }
+
+
+def resolve_rank_waits(
+    infos: Iterable[RankWaitInfo],
+    group_of: Callable[[int], Sequence[int]],
+) -> Dict[int, WaitForCondition]:
+    """Expand collective waits rank-wise and build CNF conditions.
+
+    A rank blocked in wave W waits (AND) for every group member
+    whose own blocked operation is *not* W: under strict blocking
+    semantics nobody can have passed an incomplete wave, so
+    non-reporters of W provably have not activated it. ``group_of``
+    maps a communicator id to its group.
+    """
+    blocked_wave: Dict[int, Tuple[int, int]] = {}
+    by_rank: Dict[int, RankWaitInfo] = {}
+    for info in infos:
+        by_rank[info.rank] = info
+        for entry in info.entries:
+            if isinstance(entry, CollectiveWait):
+                blocked_wave[info.rank] = (entry.comm_id, entry.wave_index)
+    conditions: Dict[int, WaitForCondition] = {}
+    for rank in sorted(by_rank):
+        info = by_rank[rank]
+        cond = WaitForCondition(
+            rank=rank,
+            op_ref=(rank, -1),
+            op_description=info.op_description,
+        )
+        or_clause: List[WaitTarget] = []
+        for entry in info.entries:
+            if isinstance(entry, CollectiveWait):
+                wave = (entry.comm_id, entry.wave_index)
+                for k in group_of(entry.comm_id):
+                    if k == rank or blocked_wave.get(k) == wave:
+                        continue
+                    cond.clauses.append(
+                        (intern_target(k, "has not activated the wave"),)
+                    )
+            elif isinstance(entry, P2PWait):
+                targets = tuple(
+                    intern_target(t, entry.reason) for t in entry.or_targets
+                )
+                if info.or_semantics:
+                    or_clause.extend(targets)
+                else:
+                    cond.clauses.append(targets)
+            else:
+                raise ProtocolError(
+                    f"unknown wait entry {type(entry).__name__}"
+                )
+        if info.or_semantics:
+            cond.clauses.append(tuple(or_clause))
+        conditions[rank] = cond
+    return conditions

@@ -1,12 +1,4 @@
-"""Matching engines: centralized reference and distributed node-local."""
-from repro.matching.collective import match_collectives, match_trace
+"""Distributed node-local point-to-point matching (first TBON layer)."""
 from repro.matching.distributed_p2p import MatchEvent, NodeP2PMatcher
-from repro.matching.p2p import match_point_to_point
 
-__all__ = [
-    "MatchEvent",
-    "NodeP2PMatcher",
-    "match_collectives",
-    "match_point_to_point",
-    "match_trace",
-]
+__all__ = ["MatchEvent", "NodeP2PMatcher"]

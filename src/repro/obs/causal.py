@@ -19,11 +19,10 @@ Inputs are the wait-state trace events the first-layer nodes emit
   unblocked ranks of the cut.
 
 From the final events of the last detection we rebuild the exact
-AND/OR wait-for conditions the TBON root resolved (the collective
-``blocked_wave`` expansion is mirrored from
-``RootNode._resolve_conditions``), rebuild the WFG, and re-run the
-liveness fixpoint — so the blame root-cause set *equals* the runtime
-WFG's deadlocked set by construction. Blocked time is then attributed:
+AND/OR wait-for conditions the TBON root resolved (both sides call
+:func:`~repro.core.waitfor.resolve_rank_waits`), rebuild the WFG, and
+re-run the liveness fixpoint — so the blame root-cause set *equals*
+the runtime WFG's deadlocked set by construction. Blocked time is then attributed:
 
 * a terminal interval is walked backward through the reconstructed
   graph to a deadlocked rank (a deadlocked rank blames its deadlocked
@@ -41,7 +40,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.waitfor import WaitForCondition, intern_target
+from repro.core.messages import CollectiveWait, P2PWait, RankWaitInfo
+from repro.core.waitfor import WaitForCondition, resolve_rank_waits
 from repro.obs.events import TraceEvent
 from repro.obs.timeline import UnifiedTimeline
 from repro.wfg.detect import DetectionResult, detect_deadlock
@@ -130,7 +130,7 @@ class BlameReport:
 
 
 # ---------------------------------------------------------------------------
-# condition reconstruction (mirrors RootNode._resolve_conditions)
+# condition reconstruction (the root's rule, resolve_rank_waits)
 # ---------------------------------------------------------------------------
 
 
@@ -148,48 +148,37 @@ def conditions_from_wait_args(
 
     The input maps each blocked rank to the ``args`` payload of its
     ``waitstate.final`` event (the format of
-    :func:`repro.core.distributed.wait_info_args`). The collective
-    expansion replicates the root's rule: a rank blocked in wave W
-    waits (AND) for every group member whose own blocked wave is not W.
+    :func:`repro.core.distributed.wait_info_args`). The payloads are
+    decoded back into :class:`RankWaitInfo` records plus the
+    communicator groups they carry, then resolved with the TBON
+    root's own rule (:func:`~repro.core.waitfor.resolve_rank_waits`).
     """
-    blocked_wave: Dict[int, Tuple[int, int]] = {}
-    for rank, args in per_rank_args.items():
-        for entry in args.get("entries", []):
-            coll = entry.get("collective")
-            if coll is not None:
-                blocked_wave[rank] = (coll["comm"], coll["wave"])
-    conditions: Dict[int, WaitForCondition] = {}
+    groups: Dict[int, List[int]] = {}
+    infos: List[RankWaitInfo] = []
     for rank in sorted(per_rank_args):
         args = per_rank_args[rank]
-        cond = WaitForCondition(
-            rank=rank,
-            op_ref=(rank, -1),
-            op_description=str(args.get("op", "?")),
-        )
-        or_clause: List[object] = []
+        entries: List[object] = []
         for entry in args.get("entries", []):
             coll = entry.get("collective")
             if coll is not None:
-                wave = (coll["comm"], coll["wave"])
-                for k in coll.get("group", []):
-                    if k == rank or blocked_wave.get(k) == wave:
-                        continue
-                    cond.clauses.append(
-                        (intern_target(k, "has not activated the wave"),)
-                    )
+                groups[coll["comm"]] = list(coll.get("group", []))
+                entries.append(CollectiveWait(coll["comm"], coll["wave"]))
             else:
-                targets = tuple(
-                    intern_target(int(t), str(entry.get("reason", "")))
-                    for t in entry.get("targets", [])
+                entries.append(
+                    P2PWait(
+                        tuple(int(t) for t in entry.get("targets", [])),
+                        str(entry.get("reason", "")),
+                    )
                 )
-                if args.get("or"):
-                    or_clause.extend(targets)
-                else:
-                    cond.clauses.append(targets)
-        if args.get("or"):
-            cond.clauses.append(tuple(or_clause))
-        conditions[rank] = cond
-    return conditions
+        infos.append(
+            RankWaitInfo(
+                rank=rank,
+                op_description=str(args.get("op", "?")),
+                entries=tuple(entries),
+                or_semantics=bool(args.get("or")),
+            )
+        )
+    return resolve_rank_waits(infos, groups.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Static extraction, typestate checks, and sequential matching."""
+"""Static extraction, typestate checks, and linear sequential matching."""
 import pytest
 
 from repro.analysis import (
+    LinearMatchUnsupported,
     check_collective_consistency,
     check_request_typestate,
     extract_programs,
-    match_sequences,
+    match_linear,
 )
 from repro.checks.findings import Severity
 from repro.mpi.constants import ANY_SOURCE, OpKind, WORLD_COMM_ID
@@ -287,14 +288,22 @@ class TestCollectiveConsistency:
 
 
 # ----------------------------------------------------------------------
-# Sequential matching
+# Sequential matching (the O(n) linear matcher lint, verify and prove share)
 # ----------------------------------------------------------------------
 
 class TestSequentialMatching:
     def _match(self, *programs):
         ext = extract_programs(list(programs))
         assert ext.exact
-        return match_sequences(ext.sequences, ext.comms)
+        self.sequences = ext.sequences
+        return match_linear(ext.sequences, ext.comms)
+
+    def _blocked_op(self, result, rank):
+        _, ts = result.blocked_ops[rank]
+        return self.sequences[rank][ts]
+
+    def _finished(self, result):
+        return set(range(len(self.sequences))) - set(result.blocked_ops)
 
     def test_head_to_head_sends_deadlock(self):
         def prog(rank):
@@ -304,10 +313,10 @@ class TestSequentialMatching:
             yield rank.finalize()
 
         result = self._match(prog, prog)
-        assert result.applicable and result.has_deadlock
+        assert result.has_deadlock
         assert set(result.deadlocked) == {0, 1}
         assert set(result.witness_cycle) == {0, 1}
-        assert result.blocked_ops[0].kind is OpKind.SEND
+        assert self._blocked_op(result, 0).kind is OpKind.SEND
 
     def test_ordered_exchange_is_clean(self):
         def first(rank):
@@ -321,8 +330,8 @@ class TestSequentialMatching:
             yield rank.finalize()
 
         result = self._match(first, second)
-        assert result.applicable and not result.has_deadlock
-        assert result.finished == {0, 1}
+        assert not result.has_deadlock
+        assert self._finished(result) == {0, 1}
 
     def test_buffered_sends_break_the_cycle(self):
         def prog(rank):
@@ -344,7 +353,7 @@ class TestSequentialMatching:
 
         result = self._match(waiter, quitter)
         assert result.deadlocked == (0,)
-        assert result.finished == {1}
+        assert self._finished(result) == {1}
 
     def test_fifo_channels_respect_tags(self):
         # Messages on one channel are matched earliest-compatible: with
@@ -391,7 +400,7 @@ class TestSequentialMatching:
 
         result = self._match(prog, prog)
         assert set(result.deadlocked) == {0, 1}
-        assert result.blocked_ops[0].kind is OpKind.WAIT
+        assert self._blocked_op(result, 0).kind is OpKind.WAIT
 
     def test_collective_vs_p2p_cross_wait(self):
         def top(rank):
@@ -415,9 +424,10 @@ class TestSequentialMatching:
             ]
             * 1
         )
-        result = match_sequences(ext.sequences, ext.comms)
-        assert not result.applicable
-        assert "ANY_SOURCE" in result.reason_skipped
+        with pytest.raises(LinearMatchUnsupported) as refusal:
+            match_linear(ext.sequences, ext.comms)
+        assert "ANY_SOURCE" in str(refusal.value)
+        assert refusal.value.wildcard is ext.sequences[0][0]
 
     def test_stuck_but_releasable_is_not_deadlocked(self):
         # Rank 0 blocks on rank 1, which never posts the send because
