@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.checks.findings import CheckFinding, Severity
 from repro.checks.local import MIN_TAG_UB
+from repro.util import pysource
 
 SEND_METHODS = frozenset(
     {"send", "ssend", "bsend", "rsend", "isend", "issend", "ibsend",
@@ -462,7 +463,7 @@ def lint_source(
     Raises :class:`SyntaxError` when the source does not parse — the
     caller turns that into a finding with the error position.
     """
-    tree = ast.parse(source, filename=filename)
+    tree = pysource.parse(source, filename)
     programs = find_rank_programs(tree)
     linter = _Linter(filename=filename)
 

@@ -64,6 +64,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.ops import Operation
 from repro.mpi.serialize import load_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.util import pysource
 from repro.util.errors import ReproError
 
 #: Default virtual world size for statically analyzed programs.
@@ -231,7 +232,7 @@ def _has_explicit_programs(source: str) -> bool:
     """Whether the module assigns a top-level ``LINT_PROGRAMS`` list
     (checked on the AST so program-less files are never imported)."""
     try:
-        tree = ast.parse(source)
+        tree = pysource.parse(source)
     except SyntaxError:
         return False
     for node in tree.body:
@@ -256,7 +257,7 @@ def _import_module(path: str, report: LintReport):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     try:
-        spec.loader.exec_module(module)
+        pysource.load(spec.loader, module)
     except SystemExit:
         # Scripts guarded by __main__ blocks should not run, but be
         # robust against modules calling sys.exit at import time.

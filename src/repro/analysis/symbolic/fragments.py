@@ -63,6 +63,7 @@ from repro.mpi.constants import (
     is_recv_kind,
 )
 from repro.mpi.ops import Operation
+from repro.util import pysource
 
 #: Operation kinds whose extraction is steered by runtime results —
 #: their presence already forces ``Extraction.exact = False``, listed
@@ -218,7 +219,7 @@ def classify_source(
 ) -> List[ProgramClassification]:
     """Classify every rank program in ``source``."""
     return classify_module(
-        ast.parse(source, filename=filename), filename
+        pysource.parse(source, filename), filename
     )
 
 

@@ -69,6 +69,7 @@ from repro.analysis.symbolic.symexec import (
 from repro.analysis.witness import WitnessSchedule
 from repro.mpi.communicator import CommRegistry
 from repro.obs.metrics import MetricsRegistry
+from repro.util import pysource
 
 
 class ProveVerdict(Enum):
@@ -370,7 +371,7 @@ def prove_source(
 ) -> List[ProveResult]:
     """Parse ``source`` and prove each of its rank programs."""
     return prove_module(
-        ast.parse(source, filename=filename), filename, metrics=metrics
+        pysource.parse(source, filename), filename, metrics=metrics
     )
 
 

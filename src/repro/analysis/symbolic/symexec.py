@@ -60,6 +60,7 @@ from repro.mpi.constants import (
     is_send_kind,
 )
 from repro.mpi.ops import Operation
+from repro.util import pysource
 
 #: Constant-bound loops up to this trip count are unrolled with the
 #: loop variable substituted; larger/symbolic bounds go through body
@@ -1178,7 +1179,7 @@ def summarize_module(
 def summarize_source(source: str, filename: str) -> List[ProgramSummary]:
     """Parse ``source`` and symbolically extract its rank programs."""
     return summarize_module(
-        ast.parse(source, filename=filename), filename
+        pysource.parse(source, filename), filename
     )
 
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.distributed import FirstLayerNode
 from repro.core.messages import NewOpMsg, RankDoneMsg
 from repro.core.treenodes import DetectionRecord, InteriorNode, RootNode
+from repro.mpi.ops import Operation
 from repro.mpi.trace import MatchedTrace
 from repro.obs.flight import FlightRecorder
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -94,6 +96,11 @@ class DistributedDeadlockDetector:
         )
         self._rng = random.Random(seed)
         self._op_gap = op_gap
+        #: Per rank: its ops, injection times (one more than ops, for
+        #: RankDone) and host, and the ``seq`` of its first injection.
+        self._injections: List[
+            Tuple[Tuple[Operation, ...], List[float], int, int]
+        ] = []
         self.first_layer: Dict[int, FirstLayerNode] = {}
         for node_id in self.topology.first_layer:
             node = FirstLayerNode(
@@ -122,30 +129,46 @@ class DistributedDeadlockDetector:
     # ------------------------------------------------------------------
 
     def _schedule_events(self) -> None:
-        """Inject every rank's operations in order, with seeded skew."""
-        for rank in range(self.trace.num_processes):
+        """Inject every rank's operations in order, with seeded skew.
+
+        Every injection time is drawn up front, rank-major, and every
+        injection owns one number of a reserved ``seq`` block in that
+        same order. Only each rank's first injection is armed; each one
+        arms its rank's next as it fires. The heap thus holds one
+        injection per rank plus what is in flight, not the whole trace,
+        and pops in the same ``(time, seq)`` order as if every
+        injection had been scheduled here: a successor's key exceeds
+        its predecessor's, and it is armed when the predecessor pops.
+        """
+        gap = self._op_gap
+        rng = self._rng
+        sequences = [
+            self.trace.sequence(r) for r in range(self.trace.num_processes)
+        ]
+        seq = self.net.reserve_seqs(sum(len(ops) + 1 for ops in sequences))
+        for rank, ops in enumerate(sequences):
+            t = rng.random() * gap * 4
+            times = [t]
+            for _ in ops:
+                t += gap * (0.5 + rng.random())
+                times.append(t)
             host = self.topology.host_of_rank(rank)
-            start = self._rng.random() * self._op_gap * 4
-            seq = self.trace.sequence(rank)
+            self._injections.append((ops, times, host, seq))
+            self.net.call_at(times[0], partial(self._inject, rank, 0), seq=seq)
+            seq += len(times)
 
-            def make_sender(r: int, h: int, ops: tuple) -> None:
-                t = start
-                for op in ops:
-                    msg = NewOpMsg(op)
-
-                    def fire(m=msg, rr=r, hh=h) -> None:
-                        self.net.send(rr, hh, m, NewOpMsg.wire_size)
-
-                    self.net.call_at(t, fire)
-                    t += self._op_gap * (0.5 + self._rng.random())
-                done = RankDoneMsg(r)
-
-                def fire_done(m=done, rr=r, hh=h) -> None:
-                    self.net.send(rr, hh, m, RankDoneMsg.wire_size)
-
-                self.net.call_at(t, fire_done)
-
-            make_sender(rank, host, seq)
+    def _inject(self, rank: int, index: int) -> None:
+        """Stream ``rank``'s ``index``-th op (its RankDone after the
+        last) and arm the rank's next injection."""
+        ops, times, host, seq0 = self._injections[rank]
+        if index == len(ops):
+            self.net.send(rank, host, RankDoneMsg(rank), RankDoneMsg.wire_size)
+            return
+        self.net.send(rank, host, NewOpMsg(ops[index]), NewOpMsg.wire_size)
+        index += 1
+        self.net.call_at(
+            times[index], partial(self._inject, rank, index), seq=seq0 + index
+        )
 
     def run(
         self,

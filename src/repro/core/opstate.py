@@ -69,13 +69,18 @@ class OpState:
     #: Observability: the wait info captured when the op first blocked
     #: (serialized into the dwell span's args for blame analysis).
     blocked_info: Optional[object] = None
+    #: ``b(op)`` under the strict semantics, computed on first use
+    #: (``canAdvance`` asks several times per operation).
+    _blocking: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def ref(self) -> OpRef:
         return self.op.ref
 
     def is_blocking(self) -> bool:
-        return is_blocking(self.op, _STRICT)
+        if self._blocking is None:
+            self._blocking = is_blocking(self.op, _STRICT)
+        return self._blocking
 
     def completes_locally(self) -> bool:
         return self.op.kind in _LOCAL_COMPLETION_KINDS

@@ -94,6 +94,21 @@ class OpKind(enum.Enum):
     # deadlock reports can present them as a single call.
     SENDRECV_MARKER = "MPI_Sendrecv"
 
+    # Classification flags, set once per member at import from the kind
+    # sets below (which stay the single source). The predicates read
+    # these instead of hashing the member: ``Enum.__hash__`` is a
+    # Python-level call, and the predicates sit on every hot path.
+    _send: bool
+    _recv: bool
+    _probe: bool
+    _p2p: bool
+    _nonblocking_p2p: bool
+    _collective: bool
+    _rooted_collective: bool
+    _wait: bool
+    _test: bool
+    _any_completion: bool
+
 
 _SEND_KINDS = frozenset(
     {
@@ -164,54 +179,68 @@ _ANY_COMPLETION_KINDS = frozenset(
 )
 
 
+for _kind in OpKind:
+    _kind._send = _kind in _SEND_KINDS
+    _kind._recv = _kind in _RECV_KINDS
+    _kind._probe = _kind in _PROBE_KINDS
+    _kind._p2p = _kind._send or _kind._recv or _kind._probe
+    _kind._nonblocking_p2p = _kind in _NONBLOCKING_P2P_KINDS
+    _kind._collective = _kind in _COLLECTIVE_KINDS
+    _kind._rooted_collective = _kind in _ROOTED_COLLECTIVE_KINDS
+    _kind._wait = _kind in _WAIT_KINDS
+    _kind._test = _kind in _TEST_KINDS
+    _kind._any_completion = _kind in _ANY_COMPLETION_KINDS
+del _kind
+
+
 def is_send_kind(kind: OpKind) -> bool:
     """Return ``True`` for any send flavour, blocking or not."""
-    return kind in _SEND_KINDS
+    return kind._send
 
 
 def is_recv_kind(kind: OpKind) -> bool:
     """Return ``True`` for blocking and non-blocking receives."""
-    return kind in _RECV_KINDS
+    return kind._recv
 
 
 def is_probe_kind(kind: OpKind) -> bool:
     """Return ``True`` for ``MPI_Probe`` / ``MPI_Iprobe``."""
-    return kind in _PROBE_KINDS
+    return kind._probe
 
 
 def is_p2p_kind(kind: OpKind) -> bool:
     """Return ``True`` for any point-to-point or probe operation."""
-    return kind in _SEND_KINDS or kind in _RECV_KINDS or kind in _PROBE_KINDS
+    return kind._p2p
 
 
 def is_nonblocking_p2p_kind(kind: OpKind) -> bool:
     """Return ``True`` for request-creating point-to-point operations."""
-    return kind in _NONBLOCKING_P2P_KINDS
+    return kind._nonblocking_p2p
 
 
 def is_collective_kind(kind: OpKind) -> bool:
     """Return ``True`` for operations matched by collective matching."""
-    return kind in _COLLECTIVE_KINDS
+    return kind._collective
 
 
 def is_rooted_collective_kind(kind: OpKind) -> bool:
     """Return ``True`` for collectives that carry a root argument."""
-    return kind in _ROOTED_COLLECTIVE_KINDS
+    return kind._rooted_collective
 
 
 def is_wait_kind(kind: OpKind) -> bool:
     """Return ``True`` for blocking completion operations."""
-    return kind in _WAIT_KINDS
+    return kind._wait
 
 
 def is_test_kind(kind: OpKind) -> bool:
     """Return ``True`` for non-blocking completion operations."""
-    return kind in _TEST_KINDS
+    return kind._test
 
 
 def is_completion_kind(kind: OpKind) -> bool:
     """Return ``True`` for operations completing MPI requests."""
-    return kind in _WAIT_KINDS or kind in _TEST_KINDS
+    return kind._wait or kind._test
 
 
 def completion_needs_all(kind: OpKind) -> bool:
@@ -223,4 +252,4 @@ def completion_needs_all(kind: OpKind) -> bool:
     """
     if not is_completion_kind(kind):
         raise ValueError(f"{kind} is not a completion operation")
-    return kind not in _ANY_COMPLETION_KINDS
+    return not kind._any_completion

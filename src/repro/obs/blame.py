@@ -25,6 +25,7 @@ from repro.obs.events import TraceEvent
 from repro.obs.exporters import load_run, read_jsonl
 from repro.obs.observer import Observer, make_observer
 from repro.obs.stats import render_timeline_table
+from repro.util import pysource
 from repro.util.errors import TraceError
 
 from repro.docs import format_tag
@@ -83,7 +84,7 @@ def load_programs(path: str, default_ranks: int) -> List[Any]:
         raise TraceError(f"cannot import {path}")
     module = importlib.util.module_from_spec(spec)
     try:
-        spec.loader.exec_module(module)
+        pysource.load(spec.loader, module)
     except Exception as exc:  # import errors are user input errors
         raise TraceError(f"cannot import {path}: {exc}") from exc
     programs = getattr(module, "LINT_PROGRAMS", None)

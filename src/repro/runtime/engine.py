@@ -184,7 +184,7 @@ class Engine:
         self._send_waiters: Dict[OpRef, int] = {}
         self._recv_waiters: Dict[OpRef, int] = {}
         self._probe_waiters: Dict[Tuple[int, int], List[Tuple[int, Operation]]] = {}
-        self._wave_waiters: Dict[Tuple[int, int], Dict[int, Operation]] = {}
+        self._wave_waiters: Dict[Tuple[int, int], List[int]] = {}
         self._completion_waiters: Dict[int, Operation] = {}
         self._finalize_arrived: Dict[int, OpRef] = {}
         self._finalize_waiters: List[int] = []
@@ -857,13 +857,16 @@ class Engine:
             self._resume(rank, results.get(rank))
         elif self._can_leave_wave(op, wave):
             self._resume(rank, None)
+            if rank == wave.root:
+                # A bcast/scatter root leaving early (relaxed semantics)
+                # releases the non-roots parked before it arrived; no
+                # other arrival can release a parked waiter.
+                for r in self._wave_waiters.pop((op.comm_id, wave.index), ()):
+                    self._resume(r, None)
         else:
             key = (op.comm_id, wave.index)
-            self._wave_waiters.setdefault(key, {})[rank] = op
+            self._wave_waiters.setdefault(key, []).append(rank)
             self._park(rank, call, op.ref)
-            # A new arrival may release earlier-parked relaxed waiters
-            # (e.g. non-roots of a bcast once the root arrived).
-            self._release_relaxed_waiters(wave)
 
     def _can_leave_wave(self, op: Operation, wave: CollectiveWave) -> bool:
         """Relaxed-semantics early exit from an incomplete collective."""
@@ -879,20 +882,6 @@ class Engine:
         # Scan/reduce_scatter/comm management conservatively synchronize
         # even under relaxed semantics.
         return False
-
-    def _release_relaxed_waiters(self, wave: CollectiveWave) -> None:
-        key = (wave.comm_id, wave.index)
-        waiters = self._wave_waiters.get(key)
-        if not waiters:
-            return
-        released = [
-            r for r, op in waiters.items() if self._can_leave_wave(op, wave)
-        ]
-        for r in released:
-            del waiters[r]
-            self._resume(r, None)
-        if not waiters:
-            del self._wave_waiters[key]
 
     def _complete_wave(self, wave: CollectiveWave) -> Dict[int, object]:
         """Record the collective match and wake parked participants.
@@ -928,7 +917,7 @@ class Engine:
         else:
             results = {r: None for r in wave.arrived}
         key = (wave.comm_id, wave.index)
-        waiters = self._wave_waiters.pop(key, {})
+        waiters = self._wave_waiters.pop(key, ())
         for r in waiters:
             self._resume(r, results.get(r))
         return results

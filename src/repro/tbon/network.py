@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.obs.events import PID_TBON
@@ -89,15 +88,11 @@ def jittered_latency(
     return model
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    kind: str = "deliver"
-    src: int = -1
-    dst: int = -1
-    msg: object = None
-    callback: Optional[Callable[[], None]] = None
+#: One heap entry: ``(time, seq, src, dst, msg, callback)``. ``seq`` is
+#: unique, so tuple comparison (done in C) never looks past it. A
+#: delivery has ``callback=None``; a scheduled call has ``src = dst =
+#: -1`` and ``msg=None``.
+_Event = Tuple[float, int, int, int, object, Optional[Callable[[], None]]]
 
 
 class Network:
@@ -152,9 +147,7 @@ class Network:
         # still dequeue in send order (seq breaks exact ties).
         self._channel_front[key] = arrival
         heapq.heappush(
-            self._queue,
-            _Event(time=arrival, seq=next(self._seq), src=src, dst=dst,
-                   msg=msg),
+            self._queue, (arrival, next(self._seq), src, dst, msg, None)
         )
         self.messages_sent += 1
         self.bytes_sent += size
@@ -167,15 +160,35 @@ class Network:
             # enumerating per-type counters every tick.
             self.obs.metrics.inc("tbon.sent_total")
 
-    def call_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at an absolute simulated time."""
+    def reserve_seqs(self, count: int) -> int:
+        """Set aside ``count`` consecutive sequence numbers.
+
+        Returns the first. Events later scheduled with ``call_at(...,
+        seq=first + i)`` order among same-time events exactly as if
+        they had all been scheduled now, in ``i`` order — which lets a
+        caller arm a long chain of calls one link at a time.
+        """
+        first = next(self._seq)
+        self._seq = itertools.count(first + count)
+        return first
+
+    def call_at(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        *,
+        seq: Optional[int] = None,
+    ) -> None:
+        """Schedule ``callback`` at an absolute simulated time.
+
+        ``seq`` is one of the numbers :meth:`reserve_seqs` set aside;
+        by default the call takes the next fresh one.
+        """
         if time < self._now:
             raise ValueError("cannot schedule in the past")
-        heapq.heappush(
-            self._queue,
-            _Event(time=time, seq=next(self._seq), kind="call",
-                   callback=callback),
-        )
+        if seq is None:
+            seq = next(self._seq)
+        heapq.heappush(self._queue, (time, seq, -1, -1, None, callback))
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         self.call_at(self._now + delay, callback)
@@ -191,30 +204,32 @@ class Network:
         stop with later events pending is not.
         """
         processed = 0
-        while self._queue:
-            if until is not None and self._queue[0].time > until:
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 return self._now
-            event = heapq.heappop(self._queue)
+            time, _, src, dst, msg, callback = heappop(queue)
             processed += 1
             if processed > self._max_events:
                 raise RuntimeError(
                     f"network exceeded {self._max_events} events"
                 )
-            self._now = max(self._now, event.time)
-            if event.kind == "call":
-                assert event.callback is not None
-                event.callback()
+            if time > self._now:
+                self._now = time
+            if callback is not None:
+                callback()
                 continue
-            node = self._nodes[event.dst]
+            node = self._nodes[dst]
             if self._node_cost > 0.0:
                 # Serialize processing on the node: handling starts when
                 # the node is free and occupies it for node_cost.
-                start = max(self._now, self._busy_until.get(event.dst, 0.0))
-                self._busy_until[event.dst] = start + self._node_cost
+                start = max(self._now, self._busy_until.get(dst, 0.0))
+                self._busy_until[dst] = start + self._node_cost
                 self._now = max(self._now, start)
             if self.obs.enabled:
-                mtype = type(event.msg).__name__
+                mtype = type(msg).__name__
                 self.obs.metrics.inc(f"tbon.recv.{mtype}")
                 self.obs.metrics.inc("tbon.delivered_total")
                 self.obs.metrics.gauge("tbon.queue_depth").set(
@@ -236,10 +251,10 @@ class Network:
                     cat="tbon.deliver",
                     ts=self._now * 1e6,
                     pid=PID_TBON,
-                    tid=event.dst,
-                    args={"src": event.src},
+                    tid=dst,
+                    args={"src": src},
                 )
-            node.handle(event.msg, self, event.src)
+            node.handle(msg, self, src)
         # The heap drained. A bounded run still owes the caller the
         # full interval: without this, run(until=T) returned the
         # pre-drain clock (the last event's time) whenever the heap

@@ -1,6 +1,7 @@
 """Operation-kind classification (the vocabulary of the analyses)."""
 import pytest
 
+from repro.mpi import constants
 from repro.mpi.constants import (
     OpKind,
     completion_needs_all,
@@ -102,3 +103,35 @@ def test_completion_needs_all_matches_rule4():
 def test_completion_needs_all_rejects_non_completions():
     with pytest.raises(ValueError):
         completion_needs_all(OpKind.SEND)
+
+
+# The predicates read flags precomputed per member; the kind sets stay
+# the single source, so every flag must equal set membership.
+_FLAG_SOURCES = {
+    is_send_kind: lambda k: k in constants._SEND_KINDS,
+    is_recv_kind: lambda k: k in constants._RECV_KINDS,
+    is_probe_kind: lambda k: k in constants._PROBE_KINDS,
+    is_p2p_kind: lambda k: (
+        k in constants._SEND_KINDS
+        or k in constants._RECV_KINDS
+        or k in constants._PROBE_KINDS
+    ),
+    is_nonblocking_p2p_kind: lambda k: k in constants._NONBLOCKING_P2P_KINDS,
+    is_collective_kind: lambda k: k in constants._COLLECTIVE_KINDS,
+    is_rooted_collective_kind: lambda k: k in constants._ROOTED_COLLECTIVE_KINDS,
+    is_wait_kind: lambda k: k in constants._WAIT_KINDS,
+    is_test_kind: lambda k: k in constants._TEST_KINDS,
+    is_completion_kind: lambda k: (
+        k in constants._WAIT_KINDS or k in constants._TEST_KINDS
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(OpKind), ids=lambda k: k.name)
+def test_precomputed_flags_equal_set_membership(kind):
+    for predicate, membership in _FLAG_SOURCES.items():
+        assert predicate(kind) is membership(kind), predicate.__name__
+    if kind in constants._WAIT_KINDS or kind in constants._TEST_KINDS:
+        assert completion_needs_all(kind) is (
+            kind not in constants._ANY_COMPLETION_KINDS
+        )

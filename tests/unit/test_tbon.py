@@ -121,6 +121,8 @@ class TestNetwork:
         net.run()
         with pytest.raises(ValueError):
             net.call_at(0.5, lambda: None)
+        with pytest.raises(ValueError):
+            net.call_at(0.5, lambda: None, seq=net.reserve_seqs(1))
 
     def test_run_until_bound(self):
         net = Network(fixed_latency(1.0))
@@ -245,3 +247,109 @@ class TestBoundedRunClock:
         for until in (1.0, 2.0, 3.0):
             stamps.append(net.run(until=until))
         assert stamps == [1.0, 2.0, 3.0]
+
+
+class _Log:
+    """A node appending its deliveries to a shared event log."""
+
+    def __init__(self, node_id, log):
+        self.node_id = node_id
+        self.log = log
+
+    def handle(self, msg, net, src):
+        self.log.append(("deliver", msg))
+
+
+class TestEventOrder:
+    """The heap orders events by ``(time, seq)``: exact time ties go to
+    whichever event was scheduled first, whatever its kind."""
+
+    def test_same_time_deliveries_in_send_order(self):
+        log = []
+        net = Network(fixed_latency(1.0))
+        net.attach(_Log(0, log))
+        for src in (3, 1, 2):  # distinct channels, identical arrival
+            net.send(src, 0, src)
+        net.run()
+        assert log == [("deliver", 3), ("deliver", 1), ("deliver", 2)]
+
+    def test_same_time_call_and_delivery_in_schedule_order(self):
+        log = []
+        net = Network(fixed_latency(1.0))
+        net.attach(_Log(0, log))
+        net.call_at(1.0, lambda: log.append(("call", "a")))
+        net.send(1, 0, "m")
+        net.call_at(1.0, lambda: log.append(("call", "b")))
+        net.run()
+        assert log == [("call", "a"), ("deliver", "m"), ("call", "b")]
+
+    def test_reserved_seqs_order_as_if_scheduled_at_reservation(self):
+        log = []
+        net = Network(fixed_latency(1.0))
+        net.attach(_Log(0, log))
+        first = net.reserve_seqs(2)
+        net.send(1, 0, "fresh")  # takes a seq after the reserved block
+        net.call_at(1.0, lambda: log.append(("call", 1)), seq=first + 1)
+        net.call_at(1.0, lambda: log.append(("call", 0)), seq=first)
+        net.run()
+        assert log == [("call", 0), ("call", 1), ("deliver", "fresh")]
+
+    def test_run_until_stops_at_the_bound(self):
+        log = []
+        net = Network(fixed_latency(1.0))
+        net.attach(_Log(0, log))
+        net.send(1, 0, "at-1")
+        net.call_at(3.0, lambda: log.append(("call", "at-3")))
+        assert net.run(until=2.0) == 2.0
+        assert log == [("deliver", "at-1")]
+        assert not net.idle()
+        assert net.run() == 3.0
+        assert log[-1] == ("call", "at-3") and net.idle()
+
+
+class TestInjectionCursors:
+    """The inline detector arms one injection per rank at a time, so its
+    event heap is bounded by the ranks and the messages in flight, not
+    by the length of the trace."""
+
+    @staticmethod
+    def _peak_heap(p, iterations):
+        from repro.core.detector import DistributedDeadlockDetector
+        from repro.workloads import build_stress_trace
+
+        jitter = jittered_latency(1)
+        peak = [0]
+        detector = None
+
+        def latency(src, dst, size):
+            # Sampled on every send: the heap as the transport sees it.
+            peak[0] = max(peak[0], len(detector.net._queue))
+            return jitter(src, dst, size)
+
+        matched = build_stress_trace(p, iterations=iterations)
+        detector = DistributedDeadlockDetector(
+            matched, seed=1, latency_model=latency
+        )
+        outcome = detector.run()
+        assert not outcome.has_deadlock
+        return peak[0]
+
+    def test_only_first_injections_are_armed(self):
+        from repro.core.detector import DistributedDeadlockDetector
+        from repro.workloads import build_stress_trace
+
+        detector = DistributedDeadlockDetector(build_stress_trace(16, 5))
+        detector._schedule_events()
+        assert len(detector.net._queue) == 16
+
+    def test_stress_heap_is_linear_in_ranks(self):
+        p = 256
+        peak = self._peak_heap(p, iterations=20)
+        # About one injection plus ~7 in-flight messages per rank; the
+        # trace itself holds 63 operations per rank.
+        assert peak <= 10 * p
+
+    def test_heap_does_not_grow_with_trace_length(self):
+        short = self._peak_heap(32, iterations=10)
+        long = self._peak_heap(32, iterations=40)
+        assert long <= short + 32
