@@ -5,7 +5,8 @@ For a Python file the pipeline is
 1. parse + AST lint (:mod:`repro.analysis.astlint`);
 2. import the module and instantiate every discovered rank program
    over ``LINT_RANKS`` virtual ranks (or an explicit ``LINT_PROGRAMS``
-   list when the module provides one);
+   list when the module provides one), as every ``.py`` entry point
+   does through :func:`load_program_sets`;
 3. statically extract the per-rank operation sequences
    (:mod:`repro.analysis.extract`);
 4. run the request typestate FSM and the collective consistency
@@ -24,11 +25,11 @@ from __future__ import annotations
 import ast
 import importlib.util
 import os
-import sys
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from types import ModuleType
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.analysis.astlint import lint_source
+from repro.analysis.astlint import RankProgram, find_rank_programs, lint_source
 from repro.analysis.explore import (
     ExplorationUnsupported,
     ExploreResult,
@@ -132,12 +133,15 @@ def _lint_python(path: str, ranks: int) -> LintReport:
         )
         return report
 
-    module = _import_module(path, report)
-    if module is None:
+    try:
+        module = _import_module(path)
+    except ReproError as exc:
+        report.notes.append(f"{exc}; AST lint only")
         return report
 
-    program_sets = _program_sets(module, programs, ranks, report)
-    for label, program_set in program_sets:
+    for label, program_set in _program_sets(
+        module, programs, ranks, report.notes
+    ):
         _analyze_program_set(label, program_set, report)
     return report
 
@@ -247,37 +251,33 @@ def _has_explicit_programs(source: str) -> bool:
     return False
 
 
-def _import_module(path: str, report: LintReport):
-    """Import the linted file under a throwaway module name."""
-    name = "_repro_lint_target"
-    spec = importlib.util.spec_from_file_location(name, path)
+def _import_module(path: str) -> ModuleType:
+    """Import the analyzed file under a throwaway module name; raises
+    :class:`ReproError` saying why when it cannot."""
+    spec = importlib.util.spec_from_file_location("_repro_lint_target", path)
     if spec is None or spec.loader is None:
-        report.notes.append("cannot import module; AST lint only")
-        return None
+        raise ReproError("cannot import module")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     try:
         pysource.load(spec.loader, module)
     except SystemExit:
         # Scripts guarded by __main__ blocks should not run, but be
         # robust against modules calling sys.exit at import time.
-        report.notes.append(
-            "module exited during import; AST lint only"
-        )
-        return None
+        raise ReproError("module exited during import") from None
     except Exception as exc:
-        report.notes.append(
-            f"import failed ({exc!r}); AST lint only"
-        )
-        return None
-    finally:
-        sys.modules.pop(name, None)
+        raise ReproError(f"import failed ({exc!r})") from exc
     return module
 
 
-def _program_sets(module, programs, ranks: int, report: LintReport):
-    """The program sets to extract: explicit LINT_PROGRAMS or one set
-    of ``n`` copies per discovered rank program."""
+def _program_sets(
+    module: ModuleType,
+    programs: Sequence[RankProgram],
+    ranks: int,
+    notes: List[str],
+) -> List[Tuple[str, List[Any]]]:
+    """The program sets to extract: the one explicit LINT_PROGRAMS
+    world, or one world of ``LINT_RANKS`` (default ``ranks``) copies
+    per rank program found on the AST."""
     explicit = getattr(module, "LINT_PROGRAMS", None)
     if explicit is not None:
         return [("LINT_PROGRAMS", list(explicit))]
@@ -286,12 +286,36 @@ def _program_sets(module, programs, ranks: int, report: LintReport):
     for program in programs:
         fn = getattr(module, program.name, None)
         if fn is None or not callable(fn):
-            report.notes.append(
-                f"{program.name}: not importable; skipped"
-            )
+            notes.append(f"{program.name}: not importable; skipped")
             continue
         sets.append((program.name, [fn] * n))
     return sets
+
+
+def load_program_sets(
+    path: str, ranks: int, notes: List[str]
+) -> List[Tuple[str, List[Any]]]:
+    """The labelled program sets (worlds) of a rank-program file, for
+    every entry point: see :func:`_program_sets`. Returns ``[]`` with
+    a note, without importing, when the file has no rank programs;
+    raises :class:`ReproError` when it does not parse or import."""
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        programs = find_rank_programs(pysource.parse(source, path))
+    except SyntaxError as exc:
+        raise ReproError(
+            f"source does not parse: {exc.msg} "
+            f"({path}:{exc.lineno or 1})"
+        ) from exc
+    if not programs and not _has_explicit_programs(source):
+        notes.append("no module-level rank programs found")
+        return []
+    try:
+        module = _import_module(path)
+    except ReproError as exc:
+        raise ReproError(f"cannot import {path}: {exc}") from exc
+    return _program_sets(module, programs, ranks, notes)
 
 
 def _analyze_program_set(
@@ -466,26 +490,7 @@ def verify_path(
             "`repro analyze`"
         )
     report = VerifyReport(path=path)
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    try:
-        _, programs = lint_source(source, path)
-    except SyntaxError as exc:
-        raise ReproError(
-            f"source does not parse: {exc.msg} "
-            f"({path}:{exc.lineno or 1})"
-        ) from exc
-    if not programs and not _has_explicit_programs(source):
-        report.notes.append("no module-level rank programs found")
-        return report
-    module = _import_module(path, report)
-    if module is None:
-        raise ReproError(f"cannot import {path}: {report.notes[-1]}")
-
-    lint_shim = LintReport(path=path)
-    program_sets = _program_sets(module, programs, ranks, lint_shim)
-    report.notes.extend(lint_shim.notes)
-    for label, program_set in program_sets:
+    for label, program_set in load_program_sets(path, ranks, report.notes):
         report.programs.append(
             _verify_program_set(
                 label,

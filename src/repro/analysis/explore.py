@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
+    AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -182,6 +184,20 @@ class _State(NamedTuple):
     pending: FrozenSet[OpRef]
     #: Per-rank request ids consumed by completions.
     consumed: Tuple[FrozenSet[int], ...]
+
+
+class TerminalView(NamedTuple):
+    """What :meth:`_Model.classify_terminal` reads of a configuration
+    no transition leaves: an explorer state or the linear matcher's
+    final arrays."""
+
+    pcs: Sequence[int]
+    #: True when the rank is parked in the op at its program counter.
+    parked: Sequence[bool]
+    #: Per-rank request ids consumed by executed completions.
+    consumed: Sequence[AbstractSet[int]]
+    #: Whether the request registered by a creating op has completed.
+    request_done: Callable[[Operation], bool]
 
 
 class _Transition(NamedTuple):
@@ -443,15 +459,7 @@ class _Model:
                     f"rank {k} completes unknown request {req_id} "
                     "(the engine would raise an MPI usage error)"
                 )
-            if pcs[k] <= creator.ts:
-                return False  # not executed yet
-            if creator.peer == PROC_NULL:
-                return True
-            if is_send_kind(creator.kind):
-                if creator.kind in _BUFFERED_SEND_KINDS:
-                    return True
-                return creator.ref not in inflight
-            return creator.ref not in pending
+            return self.creator_done(creator, pcs, inflight, pending)
 
         def try_completion(k: int, wop: Operation) -> bool:
             """Engine ``_try_completion``: consume + advance on success."""
@@ -643,10 +651,40 @@ class _Model:
 
     # -- terminal-state classification -------------------------------------
 
+    @staticmethod
+    def creator_done(
+        creator: Operation,
+        pcs: Sequence[int],
+        inflight: AbstractSet[OpRef],
+        pending: AbstractSet[OpRef],
+    ) -> bool:
+        """Whether the request ``creator`` registered has completed."""
+        if pcs[creator.rank] <= creator.ts:
+            return False  # not executed yet
+        if creator.peer == PROC_NULL:
+            return True
+        if is_send_kind(creator.kind):
+            if creator.kind in _BUFFERED_SEND_KINDS:
+                return True
+            return creator.ref not in inflight
+        return creator.ref not in pending
+
+    def state_view(self, state: _State) -> TerminalView:
+        """The :class:`TerminalView` of an explorer state."""
+        return TerminalView(
+            pcs=state.pcs,
+            parked=state.posted,
+            consumed=state.consumed,
+            request_done=lambda creator: self.creator_done(
+                creator, state.pcs, state.inflight, state.pending
+            ),
+        )
+
     def classify_terminal(
-        self, state: _State
-    ) -> Tuple[Dict[int, OpRef], Set[int]]:
-        """Blocked ops + finished ranks of a transition-free state.
+        self, view: TerminalView
+    ) -> Tuple[Dict[int, OpRef], Set[int], Dict[int, WaitForCondition]]:
+        """Blocked ops, finished ranks and the wait-for condition of
+        every blocked rank of a transition-free configuration.
 
         Mirrors the runtime analysis (`core.transition.finished`): a
         rank sitting in MPI_Finalize counts as finished, not blocked —
@@ -655,22 +693,25 @@ class _Model:
         blocked: Dict[int, OpRef] = {}
         finished: Set[int] = set()
         for r in range(self.p):
-            if state.pcs[r] >= self.lens[r]:
+            if view.pcs[r] >= self.lens[r]:
                 finished.add(r)
                 continue
-            op = self.seqs[r][state.pcs[r]]
+            op = self.seqs[r][view.pcs[r]]
             if op.kind is OpKind.FINALIZE:
                 finished.add(r)
             else:
                 blocked[r] = op.ref
-        return blocked, finished
+        conditions = {
+            r: self._blocked_condition(view, r) for r in sorted(blocked)
+        }
+        return blocked, finished, conditions
 
-    def blocked_condition(
-        self, state: _State, rank: int
+    def _blocked_condition(
+        self, view: TerminalView, rank: int
     ) -> WaitForCondition:
-        """Wait-for condition of a parked rank at a terminal state
-        (mirrors the reason strings of the runtime WFG path)."""
-        op = self.seqs[rank][state.pcs[rank]]
+        """Wait-for condition of a parked rank (the reason strings of
+        the runtime WFG path)."""
+        op = self.seqs[rank][view.pcs[rank]]
         cond = WaitForCondition(
             rank=rank, op_ref=op.ref, op_description=op.describe()
         )
@@ -689,6 +730,8 @@ class _Model:
                 return (
                     intern_target(creator.peer, "no matching send posted"),
                 )
+            # Only the explorer reaches here: the linear matcher
+            # refuses unresolved wildcards before matching.
             group = self.comms.get(creator.comm_id).group
             return tuple(
                 intern_target(k, "wildcard receive: any sender qualifies")
@@ -705,24 +748,12 @@ class _Model:
         elif kind in _WAIT_PARK_KINDS:
             unsatisfied: List[Tuple[WaitTarget, ...]] = []
             for q in op.requests:
-                if q in state.consumed[rank]:
+                if q in view.consumed[rank]:
                     continue
                 creator = self.creators[rank].get(q)
-                if creator is None:
+                if creator is None or view.request_done(creator):
                     continue
-                done = False
-                if creator.ts < state.pcs[rank]:
-                    if creator.peer == PROC_NULL:
-                        done = True
-                    elif is_send_kind(creator.kind):
-                        done = (
-                            creator.kind in _BUFFERED_SEND_KINDS
-                            or creator.ref not in state.inflight
-                        )
-                    else:
-                        done = creator.ref not in state.pending
-                if not done:
-                    unsatisfied.append(p2p_clause(creator))
+                unsatisfied.append(p2p_clause(creator))
             if kind in (OpKind.WAIT, OpKind.WAITALL):
                 cond.clauses.extend(unsatisfied)
             else:
@@ -744,8 +775,8 @@ class _Model:
             for m in group:
                 ts = members.get(m)
                 arrived = ts is not None and (
-                    state.pcs[m] > ts
-                    or (state.pcs[m] == ts and state.posted[m])
+                    view.pcs[m] > ts
+                    or (view.pcs[m] == ts and view.parked[m])
                 )
                 if not arrived:
                     cond.clauses.append(
@@ -825,9 +856,7 @@ def explore_sequences(
 
     root_enabled = model.enabled(root)
     if not root_enabled:
-        blocked, _ = model.classify_terminal(root)
         # No operation ever executed: nothing can be parked.
-        assert not blocked
         return finish(Verdict.DEADLOCK_FREE)
 
     frames: List[Tuple[_State, Iterator[_Transition]]] = [
@@ -859,12 +888,10 @@ def explore_sequences(
 
         enabled = model.enabled(new_state)
         if not enabled:
-            blocked, finished = model.classify_terminal(new_state)
+            blocked, finished, conditions = model.classify_terminal(
+                model.state_view(new_state)
+            )
             if blocked:
-                conditions = {
-                    r: model.blocked_condition(new_state, r)
-                    for r in sorted(blocked)
-                }
                 graph = WaitForGraph.from_conditions(
                     model.p, conditions.values(), finished=finished
                 )

@@ -25,12 +25,12 @@ requests at their recorded ``completed_indices`` (without a recorded
 outcome they are refused). Extraction marks all of these inexact, so
 statically extracted programs never reach them.
 
-The terminal state is classified exactly like the explorer's terminal
-states: blocked ranks become :class:`WaitForCondition` records (same
-reason strings), fed to the AND⊕OR wait-for graph and
-:func:`~repro.wfg.detect.detect_deadlock`. The processing order is a
-feasible issue order, so a deadlock verdict carries a replayable
-:class:`~repro.analysis.witness.WitnessSchedule`.
+The terminal state is classified by the explorer's own
+:meth:`~repro.analysis.explore._Model.classify_terminal`: blocked
+ranks become :class:`WaitForCondition` records, fed to the AND⊕OR
+wait-for graph and :func:`~repro.wfg.detect.detect_deadlock`. The
+processing order is a feasible issue order, so a deadlock verdict
+carries a replayable :class:`~repro.analysis.witness.WitnessSchedule`.
 """
 from __future__ import annotations
 
@@ -38,9 +38,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.explore import _Model, ExplorationUnsupported
+from repro.analysis.explore import (
+    _BUFFERED_SEND_KINDS,
+    _LOCAL_KINDS,
+    _RENDEZVOUS_BLOCKING_SENDS,
+    _WAIT_PARK_KINDS,
+    ExplorationUnsupported,
+    TerminalView,
+    _Model,
+)
 from repro.analysis.witness import WitnessSchedule
-from repro.core.waitfor import WaitForCondition, WaitTarget, intern_target
+from repro.core.waitfor import WaitForCondition
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import (
     ANY_SOURCE,
@@ -56,31 +64,16 @@ from repro.util.errors import ReproError
 from repro.wfg.detect import DetectionResult, detect_deadlock
 from repro.wfg.graph import WaitForGraph
 
-_BUFFERED_SEND_KINDS = frozenset(
-    {OpKind.BSEND, OpKind.RSEND, OpKind.IBSEND, OpKind.IRSEND}
-)
-_RENDEZVOUS_BLOCKING_SENDS = frozenset({OpKind.SEND, OpKind.SSEND})
-_LOCAL_KINDS = frozenset(
-    {
-        OpKind.SEND_INIT,
-        OpKind.RECV_INIT,
-        OpKind.REQUEST_FREE,
-        OpKind.SENDRECV_MARKER,
-    }
-)
 _NONBLOCKING_RECVS = frozenset({OpKind.IRECV, OpKind.PSTART_RECV})
-#: Calls that never block and leave the matching alone.
+#: Calls that never block and leave the matching alone (the explorer
+#: counts ``Iprobe`` among its rank-local kinds).
 _NEVER_BLOCKING = frozenset(
     {
-        OpKind.IPROBE,
         OpKind.TEST,
         OpKind.TESTALL,
         OpKind.TESTANY,
         OpKind.TESTSOME,
     }
-)
-_WAIT_KINDS = frozenset(
-    {OpKind.WAIT, OpKind.WAITALL, OpKind.WAITANY, OpKind.WAITSOME}
 )
 _SUPPORTED_KINDS = (
     frozenset(_BUFFERED_SEND_KINDS)
@@ -88,7 +81,7 @@ _SUPPORTED_KINDS = (
     | _LOCAL_KINDS
     | _NONBLOCKING_RECVS
     | _NEVER_BLOCKING
-    | _WAIT_KINDS
+    | _WAIT_PARK_KINDS
     | {
         OpKind.ISEND, OpKind.ISSEND, OpKind.PSTART_SEND,
         OpKind.RECV, OpKind.PROBE,
@@ -496,7 +489,7 @@ class _Matcher:
             self._match_recv(op)
         elif kind is OpKind.PROBE:
             self._match_probe(op)
-        elif kind in _WAIT_KINDS:
+        elif kind in _WAIT_PARK_KINDS:
             self._exec_completion(op)
         elif kind is OpKind.FINALIZE:
             self._exec_finalize(op)
@@ -510,25 +503,21 @@ class _Matcher:
     # -- terminal classification ----------------------------------------
 
     def classify(self) -> LinearMatchResult:
-        blocked: Dict[int, OpRef] = {}
-        finished: Set[int] = set()
-        for rank in range(self.p):
-            if self._finished(rank):
-                finished.add(rank)
-                continue
-            op = self.seqs[rank][self.pcs[rank]]
-            if op.kind is OpKind.FINALIZE:
-                finished.add(rank)
-            else:
-                blocked[rank] = op.ref
+        blocked, finished, conditions = self.model.classify_terminal(
+            TerminalView(
+                pcs=self.pcs,
+                parked=self.parked,
+                consumed=self.consumed,
+                request_done=lambda creator: (
+                    creator.request in self.done[creator.rank]
+                ),
+            )
+        )
         result = LinearMatchResult(
             has_deadlock=False, ops_processed=len(self.schedule)
         )
         if not blocked:
             return result
-        conditions = {
-            rank: self._blocked_condition(rank) for rank in sorted(blocked)
-        }
         graph = WaitForGraph.from_conditions(
             self.p, conditions.values(), finished=finished
         )
@@ -551,73 +540,6 @@ class _Matcher:
                 label=self.label,
             )
         return result
-
-    def _blocked_condition(self, rank: int) -> WaitForCondition:
-        """Mirror ``_Model.blocked_condition`` reason strings exactly."""
-        op = self.seqs[rank][self.pcs[rank]]
-        cond = WaitForCondition(
-            rank=rank, op_ref=op.ref, op_description=op.describe()
-        )
-        kind = op.kind
-
-        def p2p_clause(creator: Operation) -> Tuple[WaitTarget, ...]:
-            if is_send_kind(creator.kind):
-                return (
-                    intern_target(
-                        creator.peer, "no matching receive posted"
-                    ),
-                )
-            return (
-                intern_target(creator.peer, "no matching send posted"),
-            )
-
-        if is_send_kind(kind):
-            cond.clauses.append(
-                (intern_target(op.peer, "no matching receive posted"),)
-            )
-        elif is_recv_kind(kind) or op.is_probe():
-            cond.clauses.append(p2p_clause(op))
-        elif kind in _WAIT_KINDS:
-            unsatisfied: List[Tuple[WaitTarget, ...]] = []
-            for request in op.requests:
-                if request in self.consumed[rank]:
-                    continue
-                if request in self.done[rank]:
-                    continue
-                creator = self.model.creators[rank].get(request)
-                if creator is None:
-                    continue
-                unsatisfied.append(p2p_clause(creator))
-            if kind in (OpKind.WAIT, OpKind.WAITALL):
-                cond.clauses.extend(unsatisfied)
-            else:
-                # Any one completion releases the rank: one OR clause.
-                flat = list(
-                    dict.fromkeys(t for clause in unsatisfied for t in clause)
-                )
-                cond.clauses.append(tuple(flat))
-        elif is_collective_kind(kind):
-            comm_id, idx = self.model.wave_of[op.ref]
-            members = self.model.wave_members[(comm_id, idx)]
-            group = self.comms.get(comm_id).group
-            for member in group:
-                ts = members.get(member)
-                arrived = ts is not None and (
-                    self.pcs[member] > ts
-                    or (self.pcs[member] == ts and self.parked[member])
-                )
-                if not arrived:
-                    cond.clauses.append(
-                        (
-                            intern_target(
-                                member,
-                                "never called a matching "
-                                f"{op.kind.value} on communicator "
-                                f"{op.comm_id}",
-                            ),
-                        )
-                    )
-        return cond
 
 
 def match_linear(

@@ -284,9 +284,9 @@ class Session:
 
     def blame(self, run: str, *, ranks: int = 4):
         """Wait-state blame analysis of a recorded artifact or a
-        rank-program file (live mode, using the session's fan-in and
-        seed). Returns ``(report, outcome)``; ``outcome`` is None in
-        artifact mode."""
+        rank-program file (live mode, on the session's backend with its
+        fan-in and seed). Returns ``(report, outcome)``; ``outcome`` is
+        None in artifact mode."""
         from repro.obs.blame import blame_artifact, blame_live
 
         if run.endswith(".py"):
@@ -295,6 +295,7 @@ class Session:
                 ranks=ranks,
                 seed=self.config.seed,
                 fan_in=self.config.fan_in,
+                backend=self.backend,
             )
             self.last_outcome = outcome
             return report, outcome

@@ -54,8 +54,9 @@ Commands
              format;
 ``figures``  print the Figure 9 / Figure 12 model tables.
 
-Named workloads: fig2a, fig2b, fig4, stress, wildcard, lammps,
-gapgeofem, halo2d, persistent-ring, soft-hang, straggler.
+Named workloads (``repro.workloads.WORKLOADS``): fig2a, fig2b, fig4,
+stress, wildcard, lammps, gapgeofem, halo2d, persistent-ring,
+soft-hang, straggler.
 
 Unified output: every subcommand takes ``--out PATH`` and ``--format
 {json,jsonl,html,dot}`` for its primary artifact — the deadlock report
@@ -93,9 +94,8 @@ DEADLOCK-CONFIRMED (live, WFG-backed; usage errors also exit 2).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.backend import DEFAULT_SHARDS, make_backend
 from repro.core.adaptation import analyze_with_adaptation
@@ -116,53 +116,6 @@ from repro.runtime import run_programs
 from repro.util.errors import TraceError
 from repro.wfg.report import render_json_report
 from repro.wfg.simplify import render_aggregated_dot, simplify
-
-
-def _persistent_ring_programs(p: int):
-    def ring(r):
-        right = (r.rank + 1) % r.size
-        left = (r.rank - 1) % r.size
-        sreq = yield r.send_init(right, tag=1)
-        rreq = yield r.recv_init(left, tag=1)
-        for _ in range(5):
-            yield from r.startall([sreq, rreq])
-            yield r.waitall([sreq, rreq])
-        yield r.request_free(sreq)
-        yield r.request_free(rreq)
-        yield r.finalize()
-
-    return [ring] * p
-
-
-def _workloads() -> Dict[str, Callable[[int], list]]:
-    from repro.workloads import (
-        fig2a_programs,
-        fig2b_programs,
-        fig4_programs,
-        gapgeofem_skeleton_programs,
-        halo2d_programs,
-        lammps_skeleton_programs,
-        soft_hang_imbalance_programs,
-        straggler_collective_programs,
-        stress_programs,
-        wildcard_deadlock_programs,
-    )
-
-    return {
-        "fig2a": lambda p: fig2a_programs(),
-        "fig2b": lambda p: fig2b_programs(),
-        "fig4": lambda p: fig4_programs(),
-        "stress": lambda p: stress_programs(p, iterations=20),
-        "wildcard": wildcard_deadlock_programs,
-        "lammps": lammps_skeleton_programs,
-        "gapgeofem": lambda p: gapgeofem_skeleton_programs(p, iterations=50),
-        "halo2d": lambda p: halo2d_programs(
-            max(2, int(math.sqrt(p))), max(2, int(math.sqrt(p)))
-        ),
-        "persistent-ring": _persistent_ring_programs,
-        "soft-hang": soft_hang_imbalance_programs,
-        "straggler": straggler_collective_programs,
-    }
 
 
 #: Formats ``--out`` understands, per subcommand. ``json`` is the
@@ -336,11 +289,13 @@ def _finish_obs(
 def _run_workload(
     name: str, ranks: int, seed: int, observer: Observer = NULL_OBSERVER
 ) -> MatchedTrace:
-    factory = _workloads().get(name)
+    from repro.workloads import WORKLOADS
+
+    factory = WORKLOADS.get(name)
     if factory is None:
         print(
             f"unknown workload {name!r}; available: "
-            f"{', '.join(sorted(_workloads()))}",
+            f"{', '.join(sorted(WORKLOADS))}",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -981,9 +936,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         render_health_table,
         render_health_timeline,
     )
+    from repro.workloads import WORKLOADS
 
     target = args.target
-    if not target.endswith(".py") and target not in _workloads():
+    if not target.endswith(".py") and target not in WORKLOADS:
         # Replay mode: a recorded repro-live/1 feed.
         try:
             header, snapshots, final = load_live_feed(target)
@@ -1015,7 +971,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
     else:
-        programs = _workloads()[target](args.ranks)
+        programs = WORKLOADS[target](args.ranks)
 
     def on_snapshot(doc: dict) -> None:
         for line in render_health_table(doc):

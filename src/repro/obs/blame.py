@@ -6,18 +6,19 @@ Two input modes feed :func:`repro.obs.causal.analyze_events`:
   a raw ``--out FILE --format jsonl`` stream): the wait-state events are parsed back
   out of the artifact; malformed input raises
   :class:`~repro.util.errors.TraceError` so the CLI can exit 2.
-* **live mode** — a Python rank-program file (the `repro lint`
-  conventions: ``LINT_PROGRAMS`` / ``LINT_RANKS`` / a module-level
-  generator function): the file is executed on the virtual runtime,
-  the distributed detector runs over the matched trace with a live
-  observer, and blame is computed from the in-memory events. Live mode
+* **live mode** — a Python rank-program file, loaded by the same
+  code as `repro lint` and `repro verify`
+  (:func:`repro.analysis.driver.load_program_sets`): one module-level
+  rank program run on ``LINT_RANKS`` copies, or the explicit world in
+  ``LINT_PROGRAMS``. A file holding several rank programs describes
+  several worlds and is refused. The file is executed on the virtual
+  runtime, the distributed detector runs over the matched trace with a
+  live observer, and blame is computed from the in-memory events. Live mode
   also returns the runtime outcome so callers can cross-check the
   blame root causes against the runtime WFG verdict.
 """
 from __future__ import annotations
 
-import importlib.util
-import inspect
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.causal import BlameReport, analyze_events
@@ -25,8 +26,7 @@ from repro.obs.events import TraceEvent
 from repro.obs.exporters import load_run, read_jsonl
 from repro.obs.observer import Observer, make_observer
 from repro.obs.stats import render_timeline_table
-from repro.util import pysource
-from repro.util.errors import TraceError
+from repro.util.errors import ReproError, TraceError
 
 from repro.docs import format_tag
 
@@ -76,34 +76,34 @@ def blame_artifact(path: str) -> BlameReport:
 
 
 def load_programs(path: str, default_ranks: int) -> List[Any]:
-    """Rank programs from a Python file, `repro lint` conventions."""
-    spec = importlib.util.spec_from_file_location(
-        "_repro_blame_target", path
-    )
-    if spec is None or spec.loader is None:
-        raise TraceError(f"cannot import {path}")
-    module = importlib.util.module_from_spec(spec)
+    """The one world a rank-program file describes.
+
+    Loaded by :func:`repro.analysis.driver.load_program_sets`, so the
+    file means what it means to ``repro lint``/``verify``. A file with
+    several rank programs and no ``LINT_PROGRAMS`` describes several
+    worlds; that raises ``TraceError`` naming them instead of running
+    a world nobody wrote.
+    """
+    from repro.analysis.driver import load_program_sets
+
+    notes: List[str] = []
     try:
-        pysource.load(spec.loader, module)
-    except Exception as exc:  # import errors are user input errors
-        raise TraceError(f"cannot import {path}: {exc}") from exc
-    programs = getattr(module, "LINT_PROGRAMS", None)
-    if programs is not None:
-        return list(programs)
-    ranks = getattr(module, "LINT_RANKS", default_ranks)
-    functions = [
-        value
-        for name, value in sorted(vars(module).items())
-        if not name.startswith("_") and inspect.isgeneratorfunction(value)
-    ]
-    if not functions:
+        sets = load_program_sets(path, default_ranks, notes)
+    except (OSError, ReproError) as exc:
+        raise TraceError(str(exc)) from exc
+    if not sets:
         raise TraceError(
             f"{path}: no rank programs found (no LINT_PROGRAMS and no "
-            "module-level generator function)"
+            "module-level rank program)"
         )
-    if len(functions) == 1:
-        return [functions[0]] * ranks
-    return list(functions)
+    if len(sets) > 1:
+        names = ", ".join(label for label, _ in sets)
+        raise TraceError(
+            f"{path}: {len(sets)} rank programs ({names}), each its own "
+            "world under `repro lint`/`verify`; keep one, or list the "
+            "world to run in LINT_PROGRAMS"
+        )
+    return list(sets[0][1])
 
 
 def blame_programs(

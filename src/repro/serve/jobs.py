@@ -36,15 +36,6 @@ class JobError(ReproError):
     """A job spec the service cannot execute."""
 
 
-def _workload_registry() -> Dict[str, Callable[[int], list]]:
-    # The CLI owns the canonical name -> programs mapping; the lazy
-    # import keeps repro.serve importable without pulling argparse
-    # machinery until a workload job actually runs.
-    from repro.cli import _workloads
-
-    return _workloads()
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """What one job analyzes and how.
@@ -240,12 +231,13 @@ def execute_job(session: Any, job: Job) -> Dict[str, Any]:
 
 def _execute_spec(session: Any, spec: JobSpec) -> Dict[str, Any]:
     if spec.kind == "workload":
-        registry = _workload_registry()
-        build = registry.get(spec.workload or "")
+        from repro.workloads import WORKLOADS
+
+        build = WORKLOADS.get(spec.workload or "")
         if build is None:
             raise JobError(
                 f"unknown workload {spec.workload!r} "
-                f"(known: {', '.join(sorted(registry))})"
+                f"(known: {', '.join(sorted(WORKLOADS))})"
             )
         return _outcome_doc(session.run(build(spec.ranks)))
     if spec.kind == "program":

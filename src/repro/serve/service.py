@@ -11,8 +11,9 @@ rejection) stays responsive no matter how loaded the pool is.
 
 Shutdown contract: SIGTERM (or the ``shutdown`` op) stops admission
 with retryable ``draining`` errors, lets queued and running jobs
-finish, joins every worker, closes the listeners, and wakes
-:meth:`ReproService.run_until_stopped`.
+finish, joins every worker, closes the listeners, answers every
+request a connection already sent (submits with ``draining``) before
+closing it, and wakes :meth:`ReproService.run_until_stopped`.
 """
 from __future__ import annotations
 
@@ -41,6 +42,10 @@ from repro.serve.quotas import QuotaExceeded, TenantQuotas
 
 #: Retry hint clients get while the daemon drains.
 DRAIN_RETRY_AFTER = 5.0
+
+#: Seconds a drain waits for connection handlers to answer what their
+#: clients already sent before cancelling them.
+CONN_CLOSE_TIMEOUT = 5.0
 
 #: Default cap on how long a ``result``/``watch`` wait may park.
 DEFAULT_WAIT_TIMEOUT = 300.0
@@ -83,7 +88,10 @@ class ReproService:
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
         self._connections = 0
-        self._conn_tasks: "set[asyncio.Task]" = set()
+        #: Open connections: handler task -> its reader and writer.
+        self._conns: Dict[
+            asyncio.Task, Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
         #: job id -> asyncio queues of active watch subscriptions; the
         #: completion callback pushes the ``None`` sentinel into each.
         self._watch_queues: Dict[str, List[asyncio.Queue]] = {}
@@ -135,12 +143,34 @@ class ReproService:
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_connections()
         assert self._stopped is not None
         self._stopped.set()
+
+    async def _close_connections(self) -> None:
+        """End every connection after answering what it already sent.
+
+        Each reader gets an end-of-stream mark behind its buffered
+        bytes, so the handler still answers those requests (a submit
+        gets ``draining``) before it sees EOF and closes. Handlers
+        still busy after ``CONN_CLOSE_TIMEOUT`` are cancelled.
+        """
+        assert self._loop is not None
+        # One loop pass reads what the kernel already holds; the mark
+        # is queued behind any read callback that pass scheduled.
+        await asyncio.sleep(0)
+        for reader, writer in self._conns.values():
+            writer.transport.pause_reading()
+            self._loop.call_soon(reader.feed_eof)
+        if not self._conns:
+            return
+        _, stuck = await asyncio.wait(
+            set(self._conns), timeout=CONN_CLOSE_TIMEOUT
+        )
+        for task in stuck:
+            task.cancel()
+        if stuck:
+            await asyncio.gather(*stuck, return_exceptions=True)
 
     async def run_until_stopped(self) -> None:
         assert self._stopped is not None, "call start() first"
@@ -176,7 +206,7 @@ class ReproService:
         self.telemetry.set_connections(self._connections)
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
+            self._conns[task] = (reader, writer)
         try:
             while True:
                 line = await reader.readline()
@@ -209,10 +239,10 @@ class ReproService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
-            pass  # drain closed us; exit cleanly
+            pass  # stuck past the drain's close timeout; exit cleanly
         finally:
             if task is not None:
-                self._conn_tasks.discard(task)
+                self._conns.pop(task, None)
             self._connections -= 1
             self.telemetry.set_connections(self._connections)
             writer.close()

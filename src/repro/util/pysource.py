@@ -12,6 +12,7 @@ imported user module may itself reach :func:`parse`.
 from __future__ import annotations
 
 import ast
+import sys
 import threading
 from types import ModuleType
 from typing import TYPE_CHECKING
@@ -29,6 +30,12 @@ def parse(source: str, filename: str = "<unknown>") -> ast.Module:
 
 
 def load(loader: Loader, module: ModuleType) -> None:
-    """``loader.exec_module(module)`` under the process-wide lock."""
+    """``loader.exec_module(module)`` under the process-wide lock, with
+    the module in ``sys.modules`` (``dataclass`` looks it up there)
+    only while it executes."""
     with _LOCK:
-        loader.exec_module(module)
+        sys.modules[module.__name__] = module
+        try:
+            loader.exec_module(module)
+        finally:
+            sys.modules.pop(module.__name__, None)

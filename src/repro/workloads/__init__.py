@@ -1,4 +1,8 @@
 """Workloads: paper micro examples, stress tests, SPEC MPI2007 proxies."""
+import math
+from typing import Callable, Dict, List
+
+from repro.runtime.engine import RankProgram
 from repro.workloads.micro import (
     fig2a_programs,
     fig2b_programs,
@@ -12,6 +16,7 @@ from repro.workloads.patterns import (
     comm_pipeline_programs,
     deferred_deadlock_programs,
     master_worker_programs,
+    persistent_ring_programs,
     software_bcast_programs,
     stencil3d_programs,
 )
@@ -46,6 +51,25 @@ from repro.workloads.wildcard import (
     wildcard_stress_programs,
 )
 
+#: The named workloads of ``repro record``/``demo``/``watch`` and of
+#: ``repro serve`` workload jobs: name -> factory of ``p`` rank programs
+#: (the paper's Fig. 2/4 examples ignore ``p``).
+WORKLOADS: Dict[str, Callable[[int], List[RankProgram]]] = {
+    "fig2a": lambda p: fig2a_programs(),
+    "fig2b": lambda p: fig2b_programs(),
+    "fig4": lambda p: fig4_programs(),
+    "stress": lambda p: stress_programs(p, iterations=20),
+    "wildcard": wildcard_deadlock_programs,
+    "lammps": lammps_skeleton_programs,
+    "gapgeofem": lambda p: gapgeofem_skeleton_programs(p, iterations=50),
+    "halo2d": lambda p: halo2d_programs(
+        max(2, int(math.sqrt(p))), max(2, int(math.sqrt(p)))
+    ),
+    "persistent-ring": persistent_ring_programs,
+    "soft-hang": soft_hang_imbalance_programs,
+    "straggler": straggler_collective_programs,
+}
+
 __all__ = [
     "EXCLUDED_FROM_AVERAGE",
     "GeneratedPrograms",
@@ -54,6 +78,7 @@ __all__ = [
     "deferred_deadlock_programs",
     "master_worker_programs",
     "mutate_program_set",
+    "persistent_ring_programs",
     "ping_pong_pairs_programs",
     "safe_program_set",
     "software_bcast_programs",
@@ -79,4 +104,5 @@ __all__ = [
     "wildcard_deadlock_programs",
     "wildcard_master_worker_programs",
     "wildcard_stress_programs",
+    "WORKLOADS",
 ]

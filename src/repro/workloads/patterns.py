@@ -2,8 +2,8 @@
 
 These exercise the analyses on the structures real applications use:
 butterfly exchanges, master/worker pools with wildcards, software
-tree broadcasts built from point-to-point calls, 3-D stencils, and
-pipelines over derived communicators. Each comes in a healthy variant
+tree broadcasts built from point-to-point calls, 3-D stencils,
+pipelines over derived communicators, and a persistent-request ring. Each comes in a healthy variant
 and (where instructive) a subtly broken one.
 """
 from __future__ import annotations
@@ -167,3 +167,22 @@ def deferred_deadlock_programs(p: int, healthy_rounds: int = 5):
         yield rank.finalize()
 
     return [worker] * p
+
+
+def persistent_ring_programs(p: int, iterations: int = 5) -> List[RankProgram]:
+    """A ring exchange over persistent requests (Send_init/Recv_init,
+    Startall + Waitall per iteration, then Request_free)."""
+
+    def ring(rank: Rank) -> Iterator[Call]:
+        right = (rank.rank + 1) % rank.size
+        left = (rank.rank - 1) % rank.size
+        sreq = yield rank.send_init(right, tag=1)
+        rreq = yield rank.recv_init(left, tag=1)
+        for _ in range(iterations):
+            yield from rank.startall([sreq, rreq])
+            yield rank.waitall([sreq, rreq])
+        yield rank.request_free(sreq)
+        yield rank.request_free(rreq)
+        yield rank.finalize()
+
+    return [ring] * p

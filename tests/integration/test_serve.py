@@ -9,13 +9,20 @@ counters, and a drain leaves no orphan workers.
 """
 import asyncio
 import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.api import Session
-from repro.serve import ReproService, ServeClient, ServeError, ServeSettings
+from repro.serve import (
+    ReproService,
+    ServeClient,
+    ServeError,
+    ServeSettings,
+    protocol,
+)
 from repro.workloads import fig2a_programs, fig2b_programs, stress_programs
 
 #: Blocks at import time until the sentinel file appears — the lever
@@ -251,6 +258,45 @@ def test_job_failure_and_not_found(daemon):
         with pytest.raises(ServeError) as missing:
             client.status("job-9999")
         assert missing.value.code == "not-found"
+
+
+def test_drain_answers_requests_already_sent_before_closing(tmp_path):
+    """Requests a client pipelined before the drain reached its
+    connection are all answered — a submit with the retryable
+    ``draining`` error — and only then is the connection closed."""
+    sentinel = tmp_path / "release"
+    source = BLOCKING_SOURCE.format(sentinel=str(sentinel))
+    requests = [
+        protocol.make_request(
+            "submit", "c1", tenant="d", source=source, ranks=1
+        ),
+        protocol.make_request("shutdown", "c2"),
+        protocol.make_request(
+            "result", "c3", job="job-0001", wait=True, timeout=60
+        ),
+        protocol.make_request(
+            "submit", "c4", tenant="d", workload="fig2a", ranks=2
+        ),
+    ]
+    service, thread = start_service()
+    with socket.create_connection(service.address, timeout=60) as sock:
+        sock.sendall(b"".join(protocol.encode(r) for r in requests))
+        deadline = time.time() + 30
+        while not service._draining and time.time() < deadline:
+            time.sleep(0.01)
+        assert service._draining
+        sentinel.write_text("go")  # let the held job, and the drain, finish
+        replies = {
+            doc["id"]: doc
+            for doc in (json.loads(line) for line in sock.makefile("rb"))
+        }
+    assert sorted(replies) == ["c1", "c2", "c3", "c4"]
+    assert replies["c1"]["ok"] and replies["c2"]["ok"]
+    assert replies["c3"]["result"]["state"] == "done"
+    assert replies["c4"]["error"]["code"] == "draining"
+    assert replies["c4"]["error"]["retryable"]
+    thread.join(30)
+    assert not thread.is_alive()
 
 
 def test_drain_rejects_new_work_and_leaves_no_workers():

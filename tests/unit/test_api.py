@@ -68,6 +68,24 @@ class TestSession:
         outcome = Session(backend="sharded", shards=2).run(fig2a_programs())
         assert outcome.deadlocked == (0, 1)
 
+    def test_blame_runs_on_the_session_backend(self, monkeypatch):
+        session = Session(backend="sharded", shards=2)
+        assert isinstance(session.backend, ShardedBackend)
+        calls = []
+        run = session.backend.run
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(session.backend, "run", spy)
+        report, outcome = session.blame(
+            "examples/lammps_potential_deadlock.py"
+        )
+        assert len(calls) == 1
+        assert outcome.deadlocked == tuple(range(12))
+        assert set(report.root_causes) == set(outcome.deadlocked)
+
     def test_context_manager_exports_sinks(self, tmp_path):
         trace = tmp_path / "session.trace.json"
         jsonl = tmp_path / "session.jsonl"

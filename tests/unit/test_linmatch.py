@@ -1,4 +1,6 @@
 """O(n) linear matching for the wildcard-free fragment."""
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
@@ -9,7 +11,7 @@ from repro.analysis import (
     replay_witness,
 )
 from repro.analysis.symbolic import LinearMatchUnsupported
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, OpKind
 
 
 def _extract(programs):
@@ -207,23 +209,95 @@ def _explorer_parity(programs):
     return lin, exp
 
 
+def _reasons(cond):
+    clauses = sorted(
+        tuple((t.rank, t.reason) for t in clause) for clause in cond.clauses
+    )
+    return cond.rank, cond.op_description, tuple(clauses)
+
+
 def test_deadlock_conditions_match_the_explorer_verbatim():
-    def prog(rank):
+    def head_to_head(rank):
         peer = 1 - rank.rank
         yield rank.recv(source=peer, tag=0)
         yield rank.send(peer, tag=0)
         yield rank.finalize()
 
-    lin, exp = _explorer_parity([prog, prog])
-    lin_reasons = {
-        (c.rank, c.op_description, tuple(sorted(c.clauses)))
-        for c in lin.conditions.values()
-    }
-    exp_reasons = {
-        (c.rank, c.op_description, tuple(sorted(c.clauses)))
-        for c in exp.conditions.values()
-    }
-    assert lin_reasons == exp_reasons
+    def waitall(rank):
+        # Both requests wait on calls the peer makes after its Waitall:
+        # one AND clause per request.
+        peer = 1 - rank.rank
+        recv = yield rank.irecv(source=peer, tag=1)
+        send = yield rank.issend(peer, tag=2)
+        yield rank.waitall([recv, send])
+        yield rank.send(peer, tag=1)
+        yield rank.recv(source=peer, tag=2)
+        yield rank.finalize()
+
+    def waitany(rank):
+        # Same requests under Waitany: one OR clause.
+        peer = 1 - rank.rank
+        recv = yield rank.irecv(source=peer, tag=1)
+        send = yield rank.issend(peer, tag=2)
+        yield rank.waitany([recv, send])
+        yield rank.send(peer, tag=1)
+        yield rank.recv(source=peer, tag=2)
+        yield rank.finalize()
+
+    def probe(rank):
+        peer = 1 - rank.rank
+        yield rank.probe(source=peer, tag=0)
+        yield rank.recv(source=peer, tag=0)
+        yield rank.send(peer, tag=0)
+        yield rank.finalize()
+
+    def barrier_first(rank):
+        yield rank.barrier()
+        yield rank.send(1, tag=0)
+        yield rank.finalize()
+
+    def recv_first(rank):
+        # Never reaches the barrier rank 0 waits in.
+        yield rank.recv(source=0, tag=0)
+        yield rank.barrier()
+        yield rank.finalize()
+
+    def recorded_waitany(sequences):
+        # The linear matcher completes a Waitany at its recorded
+        # outcome; the explorer ignores the record.
+        return [
+            [
+                replace(op, completed_indices=(0,))
+                if op.kind is OpKind.WAITANY
+                else op
+                for op in seq
+            ]
+            for seq in sequences
+        ]
+
+    cases = [
+        ([head_to_head, head_to_head], None),
+        ([waitall, waitall], None),
+        ([waitany, waitany], recorded_waitany),
+        ([probe, probe], None),
+        ([barrier_first, recv_first], None),
+    ]
+    seen_ops = set()
+    for programs, pin in cases:
+        ext = extract_programs(programs)
+        sequences = ext.sequences if pin is None else pin(ext.sequences)
+        lin = match_linear(sequences, ext.comms)
+        exp = explore_sequences(sequences, ext.comms)
+        assert lin.has_deadlock and exp.verdict is Verdict.DEADLOCK_POSSIBLE
+        lin_reasons = {_reasons(c) for c in lin.conditions.values()}
+        exp_reasons = {_reasons(c) for c in exp.conditions.values()}
+        assert lin_reasons == exp_reasons
+        seen_ops.update(
+            description.split("(")[0] for _, description, _ in lin_reasons
+        )
+    assert {
+        "MPI_Recv", "MPI_Waitall", "MPI_Waitany", "MPI_Probe", "MPI_Barrier",
+    } <= seen_ops
 
 
 def test_collective_kind_mismatch_is_refused_like_the_explorer():

@@ -84,3 +84,18 @@ def test_no_direct_parse_or_import_outside_the_helper():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_module_is_registered_only_while_it_executes():
+    """Decorators such as ``dataclass`` find the module in
+    ``sys.modules`` during the import; nothing is left behind."""
+    spec = importlib.util.spec_from_loader("_pysource_registered", loader=None)
+    module = importlib.util.module_from_spec(spec)
+
+    class _Loader:
+        def exec_module(self, mod):
+            mod.seen = sys.modules.get(mod.__name__) is mod
+
+    pysource.load(_Loader(), module)
+    assert module.seen
+    assert "_pysource_registered" not in sys.modules
